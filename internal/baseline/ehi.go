@@ -21,6 +21,7 @@ package baseline
 
 import (
 	"container/heap"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand/v2"
@@ -30,6 +31,7 @@ import (
 
 	"simcloud/internal/core"
 	"simcloud/internal/metric"
+	"simcloud/internal/mindex"
 	"simcloud/internal/secret"
 	"simcloud/internal/stats"
 	"simcloud/internal/wire"
@@ -415,4 +417,27 @@ func finishCosts(costs *stats.Costs, start time.Time) {
 	if costs.ClientTime < 0 {
 		costs.ClientTime = 0
 	}
+}
+
+// decryptEntries decrypts downloaded candidates as one batch through the
+// key's OpenObjects, charging DecryptTime once for the whole phase — the
+// two-phase timing of core's refine — instead of with two clock reads per
+// candidate. The objects share one slab of their own.
+func decryptEntries(key *secret.Key, entries []mindex.Entry, costs *stats.Costs) ([]metric.Object, error) {
+	cts := make([][]byte, len(entries))
+	for i, e := range entries {
+		cts[i] = e.Payload
+	}
+	objs := make([]metric.Object, len(entries))
+	decStart := time.Now()
+	_, err := key.OpenObjects(cts, objs, nil)
+	costs.DecryptTime += time.Since(decStart)
+	if err != nil {
+		var be *secret.BatchError
+		if errors.As(err, &be) {
+			return nil, fmt.Errorf("baseline: decrypting candidate %d: %w", entries[be.Index].ID, be.Err)
+		}
+		return nil, fmt.Errorf("baseline: decrypting candidates: %w", err)
+	}
+	return objs, nil
 }

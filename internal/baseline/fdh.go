@@ -200,19 +200,16 @@ func (c *FDHClient) KNN(q metric.Vector, k, candTarget, maxHamming int) ([]core.
 			return nil, costs, err
 		}
 		creditServer(&costs, mres.ServerNanos)
-		for _, e := range mres.Entries {
-			decStart := time.Now()
-			o, err := c.key.DecryptObject(e.Payload)
-			costs.DecryptTime += time.Since(decStart)
-			if err != nil {
-				return nil, costs, fmt.Errorf("baseline: decrypting FDH candidate: %w", err)
-			}
-			distStart := time.Now()
-			d := c.params.Dist.Dist(q, o.Vec)
-			costs.DistCompTime += time.Since(distStart)
-			costs.DistComps++
-			results = append(results, core.Result{ID: o.ID, Dist: d, Object: o})
+		objs, err := decryptEntries(c.key, mres.Entries, &costs)
+		if err != nil {
+			return nil, costs, err
 		}
+		distStart := time.Now()
+		for _, o := range objs {
+			results = append(results, core.Result{ID: o.ID, Dist: c.params.Dist.Dist(q, o.Vec), Object: o})
+		}
+		costs.DistCompTime += time.Since(distStart)
+		costs.DistComps += int64(len(objs))
 		retrieved += len(mres.Entries)
 		costs.Candidates += int64(len(mres.Entries))
 	}

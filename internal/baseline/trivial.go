@@ -68,15 +68,9 @@ func (c *TrivialClient) download(costs *stats.Costs) ([]metric.Object, error) {
 		return nil, err
 	}
 	creditServer(costs, m.ServerNanos)
-	objs := make([]metric.Object, 0, len(m.Entries))
-	for _, e := range m.Entries {
-		decStart := time.Now()
-		o, err := c.key.DecryptObject(e.Payload)
-		costs.DecryptTime += time.Since(decStart)
-		if err != nil {
-			return nil, fmt.Errorf("baseline: decrypting object %d: %w", e.ID, err)
-		}
-		objs = append(objs, o)
+	objs, err := decryptEntries(c.key, m.Entries, costs)
+	if err != nil {
+		return nil, err
 	}
 	costs.Candidates += int64(len(m.Entries))
 	return objs, nil

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -333,51 +335,94 @@ func finish(costs *stats.Costs, start time.Time) {
 	}
 }
 
-// refine decrypts candidate entries and computes their true distances to
-// the query (Algorithm 2, lines 11–16). The two phases run batched —
-// decrypt everything, then compute all distances — so the cost
-// decomposition pays one clock read per phase instead of two per candidate:
-// at the paper's candidate-set sizes the per-candidate clock calls were
-// themselves a measurable distortion of exactly the client-side times the
-// Tables report.
-func (c *coder) refine(q metric.Vector, cands []mindex.Entry, costs *stats.Costs) ([]Result, error) {
-	dist := c.key.Pivots().Dist
-	out := make([]Result, 0, len(cands))
-	decStart := time.Now()
-	for _, e := range cands {
-		o, err := c.key.DecryptObject(e.Payload)
-		if err != nil {
-			costs.DecryptTime += time.Since(decStart)
-			return nil, fmt.Errorf("core: decrypting candidate %d: %w", e.ID, err)
-		}
-		out = append(out, Result{ID: o.ID, Object: o})
-	}
-	costs.DecryptTime += time.Since(decStart)
-	distStart := time.Now()
-	for i := range out {
-		out[i].Dist = dist.Dist(q, out[i].Object.Vec)
-	}
-	costs.DistCompTime += time.Since(distStart)
-	costs.DistComps += int64(len(out))
-	costs.Candidates += int64(len(cands))
-	return out, nil
+// refineScratch is the working set of one refine call, leased from
+// refinePool so concurrent queries on one client never share it: the
+// candidate ciphertexts, their decrypted objects, the float slab every
+// candidate vector is decoded into, and the refined results, whose vectors
+// are windows of that slab. Whoever holds it ends with keep or release.
+type refineScratch struct {
+	cts  [][]byte
+	objs []metric.Object
+	slab []float32
+	res  []Result
 }
 
-// refineLimited refines at most limit candidates (0 = everything), keeping
-// the pre-ranked most promising prefix; Candidates is accounted as the
-// number transferred, not merely refined, matching the paper's
-// communication-cost measure.
-func (c *coder) refineLimited(q metric.Vector, cands []mindex.Entry, limit int, costs *stats.Costs) ([]Result, error) {
-	received := len(cands)
-	if limit > 0 && len(cands) > limit {
-		cands = cands[:limit] // pre-ranked: keep the most promising prefix
+var refinePool = sync.Pool{New: func() any { return new(refineScratch) }}
+
+// maxPooledSlab bounds the slab a finished refine hands back to the pool
+// (in float32s, 8 MiB): a rare huge range answer is left to the garbage
+// collector instead of being retained for every later query.
+const maxPooledSlab = 1 << 21
+
+// release returns s to the pool, dropping its references to the
+// candidates' ciphertexts.
+func (s *refineScratch) release() {
+	clear(s.cts)
+	if cap(s.slab) > maxPooledSlab {
+		s.slab = nil
 	}
-	refined, err := c.refine(q, cands, costs)
+	refinePool.Put(s)
+}
+
+// keep copies rs — the surviving results, drawn from s.res — into memory
+// of their own, one allocation for the results and one for all of their
+// vectors, and then releases s: a returned top-K never pins the slab of
+// every candidate decrypted to find it.
+func (s *refineScratch) keep(rs []Result) []Result {
+	out := make([]Result, len(rs))
+	n := 0
+	for _, r := range rs {
+		n += len(r.Object.Vec)
+	}
+	vecs := make(metric.Vector, n)
+	for i, r := range rs {
+		d := len(r.Object.Vec)
+		r.Object.Vec = vecs[:d:d]
+		copy(r.Object.Vec, rs[i].Object.Vec)
+		vecs = vecs[d:]
+		out[i] = r
+	}
+	s.release()
+	return out
+}
+
+// refine decrypts candidate entries and computes their true distances to
+// the query (Algorithm 2, lines 11–16). It is the one refine path of every
+// backend. The candidates are decrypted as one batch into a pooled slab
+// and the distances computed from it; the two phases are timed once each
+// rather than with two clock reads per candidate, which at the paper's
+// candidate-set sizes were themselves a measurable distortion of exactly
+// the client-side times the Tables report. The results live in the
+// returned scratch until the caller's keep or release.
+func (c *coder) refine(q metric.Vector, cands []mindex.Entry, costs *stats.Costs) (*refineScratch, error) {
+	s := refinePool.Get().(*refineScratch)
+	s.cts = s.cts[:0]
+	for _, e := range cands {
+		s.cts = append(s.cts, e.Payload)
+	}
+	s.objs = slices.Grow(s.objs[:0], len(cands))[:len(cands)]
+	decStart := time.Now()
+	slab, err := c.key.OpenObjects(s.cts, s.objs, s.slab[:0])
+	costs.DecryptTime += time.Since(decStart)
+	s.slab = slab
 	if err != nil {
-		return nil, err
+		s.release()
+		var be *secret.BatchError
+		if errors.As(err, &be) {
+			return nil, fmt.Errorf("core: decrypting candidate %d: %w", cands[be.Index].ID, be.Err)
+		}
+		return nil, fmt.Errorf("core: decrypting candidates: %w", err)
 	}
-	costs.Candidates += int64(received - len(cands))
-	return refined, nil
+	dist := c.key.Pivots().Dist
+	s.res = slices.Grow(s.res[:0], len(cands))[:len(cands)]
+	distStart := time.Now()
+	for i, o := range s.objs {
+		s.res[i] = Result{ID: o.ID, Dist: dist.Dist(q, o.Vec), Object: o}
+	}
+	costs.DistCompTime += time.Since(distStart)
+	costs.DistComps += int64(len(cands))
+	costs.Candidates += int64(len(cands))
+	return s, nil
 }
 
 // Legacy query surface. These methods predate the unified Query API and
@@ -455,10 +500,13 @@ func (c *EncryptedClient) FirstCellKNN(q metric.Vector, k int) ([]Result, stats.
 const maxRadius = 1e300
 
 func sortByDist(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Dist != rs[j].Dist {
-			return rs[i].Dist < rs[j].Dist
+	slices.SortFunc(rs, func(a, b Result) int {
+		if a.Dist != b.Dist {
+			if a.Dist < b.Dist {
+				return -1
+			}
+			return 1
 		}
-		return rs[i].ID < rs[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }

@@ -131,33 +131,36 @@ func (c *EncryptedClient) searchOne(ctx context.Context, nq Query, costs *stats.
 
 // finishQuery applies the per-kind client-side epilogue to a candidate
 // set: refinement (partial when RefineLimit is set), the radius filter for
-// range queries, distance-sorting, and the K trim.
+// range queries, distance-sorting, and the K trim. Only the surviving
+// results' vectors are copied out of the refine slab.
 func (c *coder) finishQuery(nq Query, cands []mindex.Entry, costs *stats.Costs) ([]Result, error) {
-	switch nq.Kind {
-	case KindRange:
-		refined, err := c.refine(nq.Vec, cands, costs)
-		if err != nil {
-			return nil, err
-		}
-		out := refined[:0]
-		for _, res := range refined {
+	// Partial refinement keeps the pre-ranked most promising prefix;
+	// Candidates still counts every candidate transferred, not merely those
+	// refined, matching the paper's communication-cost measure.
+	skipped := 0
+	if nq.RefineLimit > 0 && len(cands) > nq.RefineLimit {
+		skipped = len(cands) - nq.RefineLimit
+		cands = cands[:nq.RefineLimit]
+	}
+	r, err := c.refine(nq.Vec, cands, costs)
+	if err != nil {
+		return nil, err
+	}
+	costs.Candidates += int64(skipped)
+	rs := r.res
+	if nq.Kind == KindRange {
+		rs = rs[:0]
+		for _, res := range r.res {
 			if res.Dist <= nq.Radius {
-				out = append(out, res)
+				rs = append(rs, res)
 			}
 		}
-		sortByDist(out)
-		return out, nil
-	default: // KindApproxKNN, KindFirstCell
-		refined, err := c.refineLimited(nq.Vec, cands, nq.RefineLimit, costs)
-		if err != nil {
-			return nil, err
-		}
-		sortByDist(refined)
-		if len(refined) > nq.K {
-			refined = refined[:nq.K]
-		}
-		return refined, nil
 	}
+	sortByDist(rs)
+	if nq.Kind != KindRange && len(rs) > nq.K {
+		rs = rs[:nq.K]
+	}
+	return r.keep(rs), nil
 }
 
 // knnRadius derives the phase-2 range radius ρk from the refined
@@ -231,16 +234,19 @@ func (c *EncryptedClient) SearchBatch(ctx context.Context, qs []Query) ([][]Resu
 	var knnWave []wire.BatchQuery
 	for i, nq := range norm {
 		if nq.Kind == KindKNN {
-			// Phase 1 is refined like an approximate query; ρk feeds wave 2.
-			approx, err := c.refine(nq.Vec, perQuery[i], &costs)
+			// Phase 1 is refined like an approximate query; ρk feeds wave 2
+			// and no vector survives it.
+			r, err := c.refine(nq.Vec, perQuery[i], &costs)
 			if err != nil {
 				return nil, costs, err
 			}
+			approx := r.res
 			sortByDist(approx)
 			if len(approx) > nq.K {
 				approx = approx[:nq.K]
 			}
 			rangeQ := Query{Kind: KindRange, Vec: nq.Vec, Radius: knnRadius(approx, nq.K)}
+			r.release()
 			knnIdx = append(knnIdx, i)
 			knnRange = append(knnRange, rangeQ)
 			knnWave = append(knnWave, c.wireQuery(rangeQ, c.queryDists(rangeQ, &costs)))

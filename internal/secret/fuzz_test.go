@@ -2,6 +2,7 @@ package secret
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"simcloud/internal/metric"
@@ -79,6 +80,63 @@ func FuzzDecodeObject(f *testing.F) {
 		}
 		if !bytes.Equal(EncodeObject(o), data) {
 			t.Fatal("object codec round trip mismatch")
+		}
+	})
+}
+
+// FuzzOpenObjects: a hostile ciphertext anywhere in a batch must never
+// panic, and under either cipher mode the batch call must agree with
+// per-object Open + DecodeObject — the same objects, or a failure at the
+// same index with the same sentinel.
+func FuzzOpenObjects(f *testing.F) {
+	ctr := fuzzKey(f)
+	gcm, err := Generate(ctr.Pivots(), ModeGCM)
+	if err != nil {
+		f.Fatal(err)
+	}
+	keys := []*Key{ctr, gcm}
+	genuine := make([][][]byte, len(keys))
+	for ki, k := range keys {
+		for i, v := range []metric.Vector{{1, 2, 3}, {}, {-4}} {
+			ct, err := k.EncryptObject(metric.Object{ID: uint64(i + 1), Vec: v})
+			if err != nil {
+				f.Fatal(err)
+			}
+			genuine[ki] = append(genuine[ki], ct)
+		}
+	}
+	f.Add(genuine[0][0], uint8(0))
+	f.Add(genuine[1][1], uint8(1))
+	f.Add([]byte{}, uint8(2))
+	f.Add([]byte{byte(ModeGCM)}, uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, at uint8) {
+		for ki, k := range keys {
+			cts := make([][]byte, len(genuine[ki]))
+			copy(cts, genuine[ki])
+			cts[int(at)%len(cts)] = data
+			want, wantAt, wantErr := openOneByOne(k, cts)
+			dst := make([]metric.Object, len(cts))
+			_, err := k.OpenObjects(cts, dst, nil)
+			if wantErr != nil {
+				var be *BatchError
+				if !errors.As(err, &be) || be.Index != wantAt {
+					t.Fatalf("%v: per-object open fails at %d (%v); batch: %v", k.Mode(), wantAt, wantErr, err)
+				}
+				for _, sentinel := range []error{ErrAuth, ErrFormat} {
+					if errors.Is(wantErr, sentinel) != errors.Is(err, sentinel) {
+						t.Fatalf("%v: per-object error %v, batch error %v", k.Mode(), wantErr, err)
+					}
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%v: per-object open succeeds, batch fails: %v", k.Mode(), err)
+			}
+			for i := range want {
+				if !sameObject(dst[i], want[i]) {
+					t.Fatalf("%v: object %d: batch %+v, per-object %+v", k.Mode(), i, dst[i], want[i])
+				}
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package secret
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -150,20 +151,7 @@ func Unmarshal(buf []byte) (*Key, error) {
 	if len(buf) != 0 {
 		return nil, errors.New("secret: trailing bytes in key blob")
 	}
-	if mode != ModeCTRHMAC && mode != ModeGCM {
-		return nil, fmt.Errorf("secret: unknown cipher mode %d", mode)
-	}
-	if len(aesKey) != aesKeyLen {
-		return nil, fmt.Errorf("secret: AES key length %d, want %d", len(aesKey), aesKeyLen)
-	}
-	if mode == ModeCTRHMAC && len(macKey) != macKeyLen {
-		return nil, fmt.Errorf("secret: MAC key length %d, want %d", len(macKey), macKeyLen)
-	}
-	return &Key{
-		pivots:        pivot.NewSet(dist, vecs),
-		mode:          mode,
-		aesKey:        aesKey,
-		macKey:        macKey,
-		distTransform: distTransform,
-	}, nil
+	// The raw keys are copied: the Key must not alias a buffer the caller
+	// may reuse or zero after Unmarshal returns.
+	return newKey(pivot.NewSet(dist, vecs), mode, bytes.Clone(aesKey), bytes.Clone(macKey), distTransform)
 }

@@ -10,7 +10,7 @@ import (
 	"simcloud/internal/pivot"
 )
 
-func testPivots(t *testing.T, n, dim int) *pivot.Set {
+func testPivots(t testing.TB, n, dim int) *pivot.Set {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(1, uint64(n)))
 	vecs := make([]metric.Vector, n)
