@@ -267,6 +267,10 @@ func (c *Coordinator) checkShape(addr string, info wire.HelloResp) error {
 	if info.Mode != wire.HelloModeEncrypted {
 		return fmt.Errorf("cluster: node %s runs the plain deployment; the coordinator federates encrypted nodes only", addr)
 	}
+	if info.Proto != wire.Proto {
+		return fmt.Errorf("cluster: node %s speaks wire protocol version %d, this coordinator speaks version %d",
+			addr, info.Proto, wire.Proto)
+	}
 	if len(c.nodes) > 1 && !info.EagerRootSplit {
 		return fmt.Errorf("cluster: node %s does not split its root cell eagerly; "+
 			"multi-node clusters require it (start simserver with -eager-root-split or -shards > 1) "+

@@ -6,6 +6,7 @@ package cluster_test
 // node death mid-batch with retry-with-exclusion, key-mismatch rejection).
 
 import (
+	"fmt"
 	"net"
 	"slices"
 	"strings"
@@ -453,7 +454,7 @@ func TestCloseUnblocksHungNode(t *testing.T) {
 					resp := wire.HelloResp{
 						Mode: wire.HelloModeEncrypted, NumPivots: testPivots,
 						MaxLevel: 8, BucketCapacity: testBucket,
-						Ranking: 1, EagerRootSplit: true, Shards: 1,
+						Ranking: 1, EagerRootSplit: true, Shards: 1, Proto: wire.Proto,
 					}
 					if err := wire.WriteFrame(conn, wire.MsgHelloAck, resp.Encode()); err != nil {
 						return
@@ -491,6 +492,52 @@ func TestCloseUnblocksHungNode(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close deadlocked behind the hung node round trip")
+	}
+}
+
+// TestCoordinatorRefusesPreVersionNode: a node built before the hello
+// carried a protocol version answers reads with full entry records, which
+// this coordinator would misread. Admission refuses it by version, naming
+// both versions.
+func TestCoordinatorRefusesPreVersionNode(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	hello := wire.HelloResp{
+		Mode: wire.HelloModeEncrypted, NumPivots: testPivots, MaxLevel: 8,
+		BucketCapacity: testBucket, Ranking: 1, EagerRootSplit: true, Shards: 1,
+	}.Encode()
+	hello = hello[:len(hello)-4] // the pre-version layout ends after Entries
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				for {
+					typ, _, err := wire.ReadFrame(conn)
+					if err != nil || typ != wire.MsgHello {
+						return
+					}
+					if wire.WriteFrame(conn, wire.MsgHelloAck, hello) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	coord, err := cluster.New([]string{ln.Addr().String()}, cluster.Options{Logf: t.Logf})
+	if err == nil {
+		coord.Close()
+		t.Fatal("coordinator admitted a pre-version node")
+	}
+	want := fmt.Sprintf("speaks wire protocol version 0, this coordinator speaks version %d", wire.Proto)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("got %q, want it to contain %q", err, want)
 	}
 }
 

@@ -23,16 +23,31 @@ import (
 // flight that dies mid-pipeline leaves its connection with unread frames
 // in transit, so the lease is discarded, never pooled.
 
-// frame is one protocol frame of a pipelined exchange.
+// frame is one protocol frame of a pipelined exchange. A response frame's
+// payload aliases buf, a pooled buffer its holder hands back with
+// releaseFrames once nothing reads the payload (or any view decoded from
+// it) any more.
 type frame struct {
 	typ     wire.MsgType
 	payload []byte
+	buf     *wire.Buffer
+}
+
+// releaseFrames returns the pooled buffers of response frames.
+func releaseFrames(fs []frame) {
+	for i := range fs {
+		if fs[i].buf != nil {
+			wire.PutBuffer(fs[i].buf)
+		}
+		fs[i] = frame{}
+	}
 }
 
 // exchange leases a connection, pipelines the request frames over it under
-// ctx, and returns the matching response frames in order. Wire time and
-// bytes for the whole flight are accounted to costs as a single round trip
-// (the chunks share the connection; latency is paid once).
+// ctx, and returns the matching response frames in order, read into pooled
+// buffers the caller releases (releaseFrames). Wire time and bytes for the
+// whole flight are accounted to costs as a single round trip (the chunks
+// share the connection; latency is paid once).
 func (c *EncryptedClient) exchange(ctx context.Context, reqs []frame, costs *stats.Costs) ([]frame, error) {
 	var resps []frame
 	err := c.pool.withConn(ctx, func(conn *wire.CountingConn) error {
@@ -55,12 +70,14 @@ func exchange(ctx context.Context, conn *wire.CountingConn, reqs []frame, costs 
 	readDone := make(chan error, 1)
 	go func() {
 		for i := range resps {
-			typ, payload, err := wire.ReadFrame(conn)
+			buf := wire.GetBuffer()
+			typ, payload, err := wire.ReadFrameInto(conn, buf)
 			if err != nil {
+				wire.PutBuffer(buf)
 				readDone <- err
 				return
 			}
-			resps[i] = frame{typ: typ, payload: payload}
+			resps[i] = frame{typ: typ, payload: payload, buf: buf}
 		}
 		readDone <- nil
 	}()
@@ -93,6 +110,7 @@ func exchange(ctx context.Context, conn *wire.CountingConn, reqs []frame, costs 
 		err = readErr
 	}
 	if err = disarm(err); err != nil {
+		releaseFrames(resps)
 		return nil, err
 	}
 	return resps, nil
@@ -151,6 +169,7 @@ func (c *EncryptedClient) InsertBatchContext(ctx context.Context, objs []metric.
 	if err != nil {
 		return costs, err
 	}
+	defer releaseFrames(resps)
 	for ci, r := range resps {
 		if err := respError(r); err != nil {
 			lo := ci * chunk

@@ -157,13 +157,14 @@ func (c *EncryptedClient) Close() error { return c.pool.close() }
 
 // roundTrip sends one request and reads one response on a pooled
 // connection, measuring the time spent on the wire and the bytes in both
-// directions. ctx bounds the whole exchange.
-func (c *EncryptedClient) roundTrip(ctx context.Context, t wire.MsgType, payload []byte, costs *stats.Costs) (wire.MsgType, []byte, error) {
+// directions. ctx bounds the whole exchange. The response payload is read
+// as roundTrip reads it: into buf when it is non-nil.
+func (c *EncryptedClient) roundTrip(ctx context.Context, t wire.MsgType, payload []byte, costs *stats.Costs, buf *wire.Buffer) (wire.MsgType, []byte, error) {
 	var respType wire.MsgType
 	var resp []byte
 	err := c.pool.withConn(ctx, func(conn *wire.CountingConn) error {
 		var err error
-		respType, resp, err = roundTrip(ctx, conn, t, payload, costs)
+		respType, resp, err = roundTrip(ctx, conn, t, payload, costs, buf)
 		return err
 	})
 	return respType, resp, err
@@ -171,8 +172,10 @@ func (c *EncryptedClient) roundTrip(ctx context.Context, t wire.MsgType, payload
 
 // roundTrip is one request/response exchange on conn under ctx: the
 // context's deadline becomes the connection's read/write deadline for this
-// round trip, and cancellation interrupts a blocked read.
-func roundTrip(ctx context.Context, conn *wire.CountingConn, t wire.MsgType, payload []byte, costs *stats.Costs) (wire.MsgType, []byte, error) {
+// round trip, and cancellation interrupts a blocked read. The response
+// payload is read into buf, which it then aliases, or into a fresh slice
+// when buf is nil (wire.ReadFrameInto).
+func roundTrip(ctx context.Context, conn *wire.CountingConn, t wire.MsgType, payload []byte, costs *stats.Costs, buf *wire.Buffer) (wire.MsgType, []byte, error) {
 	disarm, err := wire.ArmContext(ctx, conn)
 	if err != nil {
 		return 0, nil, err
@@ -183,7 +186,7 @@ func roundTrip(ctx context.Context, conn *wire.CountingConn, t wire.MsgType, pay
 		if err := wire.WriteFrame(conn, t, payload); err != nil {
 			return 0, nil, err
 		}
-		return wire.ReadFrame(conn)
+		return wire.ReadFrameInto(conn, buf)
 	}()
 	ioTime := time.Since(ioStart)
 	costs.CommTime += ioTime // server time is subtracted by the caller
@@ -308,7 +311,7 @@ func (c *EncryptedClient) InsertContext(ctx context.Context, objs []metric.Objec
 	if err != nil {
 		return costs, err
 	}
-	respType, resp, err := c.roundTrip(ctx, wire.MsgInsertEntries, wire.InsertEntriesReq{Entries: entries}.Encode(), &costs)
+	respType, resp, err := c.roundTrip(ctx, wire.MsgInsertEntries, wire.InsertEntriesReq{Entries: entries}.Encode(), &costs, nil)
 	if err != nil {
 		return costs, err
 	}

@@ -66,7 +66,7 @@ func newStalledServer(t *testing.T, mode uint8, numPivots int) *stalledServer {
 						return // client closed (or gave up)
 					}
 					if typ == wire.MsgHello {
-						resp := wire.HelloResp{Mode: mode, NumPivots: uint32(numPivots)}.Encode()
+						resp := wire.HelloResp{Mode: mode, NumPivots: uint32(numPivots), Proto: wire.Proto}.Encode()
 						if err := wire.WriteFrame(conn, wire.MsgHelloAck, resp); err != nil {
 							return
 						}

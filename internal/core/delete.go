@@ -52,7 +52,7 @@ func (c *EncryptedClient) DeleteContext(ctx context.Context, objs []metric.Objec
 	}
 	refs := c.deleteRefs(objs, &costs)
 	respType, resp, err := c.roundTrip(ctx, wire.MsgDeleteEntries,
-		wire.DeleteEntriesReq{Refs: refs}.Encode(), &costs)
+		wire.DeleteEntriesReq{Refs: refs}.Encode(), &costs, nil)
 	if err != nil {
 		return 0, costs, err
 	}
@@ -98,6 +98,7 @@ func (c *EncryptedClient) DeleteBatchContext(ctx context.Context, objs []metric.
 	if err != nil {
 		return 0, costs, err
 	}
+	defer releaseFrames(resps)
 	deleted := 0
 	for ci, r := range resps {
 		if err := respError(r); err != nil {

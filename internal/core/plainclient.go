@@ -66,7 +66,7 @@ func (c *PlainClient) roundTrip(ctx context.Context, t wire.MsgType, payload []b
 	var resp []byte
 	err := c.pool.withConn(ctx, func(conn *wire.CountingConn) error {
 		var err error
-		respType, resp, err = roundTrip(ctx, conn, t, payload, costs)
+		respType, resp, err = roundTrip(ctx, conn, t, payload, costs, nil)
 		return err
 	})
 	return respType, resp, err
@@ -189,6 +189,7 @@ func (c *PlainClient) SearchBatch(ctx context.Context, qs []Query) ([][]Result, 
 	}); err != nil {
 		return nil, costs, err
 	}
+	defer releaseFrames(resps)
 	out := make([][]Result, len(qs))
 	for i, r := range resps {
 		if err := respError(r); err != nil {

@@ -256,12 +256,16 @@ func helloHandshake(ctx context.Context, conn *wire.CountingConn) (wire.HelloRes
 }
 
 // checkHello validates the handshake: the deployment mode must match the
-// client flavor, and for encrypted clients the server's pivot count must
-// match the key's.
+// client flavor, the server must speak this build's wire protocol version,
+// and for encrypted clients the server's pivot count must match the key's.
 func checkHello(hello wire.HelloResp, wantMode uint8, wantPivots int) error {
 	if hello.Mode != wantMode {
 		return fmt.Errorf("core: server runs the %s deployment, this client speaks the %s protocol",
 			helloModeName(hello.Mode), helloModeName(wantMode))
+	}
+	if hello.Proto != wire.Proto {
+		return fmt.Errorf("core: server speaks wire protocol version %d, this client speaks version %d",
+			hello.Proto, wire.Proto)
 	}
 	if wantPivots > 0 && int(hello.NumPivots) != wantPivots {
 		return fmt.Errorf("core: server index uses %d pivots, client key has %d — wrong key for this cloud",

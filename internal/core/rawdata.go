@@ -35,7 +35,7 @@ func (c *EncryptedClient) UploadRawContext(ctx context.Context, items map[uint64
 		}
 		wireItems = append(wireItems, wire.RawItem{ID: id, Blob: ct})
 	}
-	respType, resp, err := c.roundTrip(ctx, wire.MsgPutRaw, wire.PutRawReq{Items: wireItems}.Encode(), &costs)
+	respType, resp, err := c.roundTrip(ctx, wire.MsgPutRaw, wire.PutRawReq{Items: wireItems}.Encode(), &costs, nil)
 	if err != nil {
 		return costs, err
 	}
@@ -62,7 +62,7 @@ func (c *EncryptedClient) FetchRaw(ids []uint64) (map[uint64][]byte, stats.Costs
 func (c *EncryptedClient) FetchRawContext(ctx context.Context, ids []uint64) (map[uint64][]byte, stats.Costs, error) {
 	var costs stats.Costs
 	start := time.Now()
-	respType, resp, err := c.roundTrip(ctx, wire.MsgGetRaw, wire.GetRawReq{IDs: ids}.Encode(), &costs)
+	respType, resp, err := c.roundTrip(ctx, wire.MsgGetRaw, wire.GetRawReq{IDs: ids}.Encode(), &costs, nil)
 	if err != nil {
 		return nil, costs, err
 	}

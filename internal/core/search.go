@@ -79,10 +79,12 @@ func singleMessage(wq wire.BatchQuery) (wire.MsgType, []byte) {
 	}
 }
 
-// candidates runs one candidate-producing round trip under ctx.
-func (c *EncryptedClient) candidates(ctx context.Context, wq wire.BatchQuery, costs *stats.Costs) ([]mindex.Entry, error) {
+// candidates runs one candidate-producing round trip under ctx, reading the
+// response into buf: the returned candidates are views whose Payloads
+// alias it.
+func (c *EncryptedClient) candidates(ctx context.Context, wq wire.BatchQuery, costs *stats.Costs, buf *wire.Buffer) ([]mindex.Entry, error) {
 	reqType, payload := singleMessage(wq)
-	respType, resp, err := c.roundTrip(ctx, reqType, payload, costs)
+	respType, resp, err := c.roundTrip(ctx, reqType, payload, costs, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +124,12 @@ func (c *EncryptedClient) searchOne(ctx context.Context, nq Query, costs *stats.
 		return searchKNN(ctx, nq, costs, c.searchOne)
 	}
 	qDists := c.queryDists(nq, costs)
-	cands, err := c.candidates(ctx, c.wireQuery(nq, qDists), costs)
+	// The candidate frame is read into a pooled buffer, and it goes back to
+	// the pool only once finishQuery has decrypted every payload aliasing
+	// it into refine's slab and copied the survivors out.
+	buf := wire.GetBuffer()
+	defer wire.PutBuffer(buf)
+	cands, err := c.candidates(ctx, c.wireQuery(nq, qDists), costs, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -223,10 +230,13 @@ func (c *EncryptedClient) SearchBatch(ctx context.Context, qs []Query) ([][]Resu
 	for i, nq := range norm {
 		wqs[i] = c.wireQuery(nq, c.queryDists(nq, &costs))
 	}
-	perQuery, err := c.batchCandidates(ctx, wqs, &costs, func(i int) int { return i })
+	// Candidates alias their response frames until the refines below are
+	// done with them.
+	perQuery, frames, err := c.batchCandidates(ctx, wqs, &costs, func(i int) int { return i })
 	if err != nil {
 		return nil, costs, err
 	}
+	defer releaseFrames(frames)
 
 	out := make([][]Result, len(qs))
 	var knnIdx []int     // queries needing the phase-2 range wave
@@ -259,10 +269,11 @@ func (c *EncryptedClient) SearchBatch(ctx context.Context, qs []Query) ([][]Resu
 		out[i] = res
 	}
 	if len(knnIdx) > 0 {
-		perKNN, err := c.batchCandidates(ctx, knnWave, &costs, func(i int) int { return knnIdx[i] })
+		perKNN, knnFrames, err := c.batchCandidates(ctx, knnWave, &costs, func(i int) int { return knnIdx[i] })
 		if err != nil {
 			return nil, costs, err
 		}
+		defer releaseFrames(knnFrames)
 		for j, i := range knnIdx {
 			// The range epilogue filters by the true ρk (the server pruned
 			// conservatively in transformed space), then the K cut applies —
@@ -282,11 +293,14 @@ func (c *EncryptedClient) SearchBatch(ctx context.Context, qs []Query) ([][]Resu
 }
 
 // batchCandidates ships the wire queries as pipelined MsgBatchQuery chunks
-// over one leased connection and returns the per-query candidate sets.
-// queryIndex maps a position in wqs back to the caller's query index — the
-// identity for the first wave, the KNN subset mapping for the second — so
-// a server error always names queries by the indices the caller knows.
-func (c *EncryptedClient) batchCandidates(ctx context.Context, wqs []wire.BatchQuery, costs *stats.Costs, queryIndex func(int) int) ([][]mindex.Entry, error) {
+// over one leased connection and returns the per-query candidate sets,
+// views into the returned response frames, which the caller releases once
+// it has refined them (after an error the frames are left to the
+// collector). queryIndex maps a position in wqs back to the caller's query
+// index — the identity for the first wave, the KNN subset mapping for the
+// second — so a server error always names queries by the indices the
+// caller knows.
+func (c *EncryptedClient) batchCandidates(ctx context.Context, wqs []wire.BatchQuery, costs *stats.Costs, queryIndex func(int) int) ([][]mindex.Entry, []frame, error) {
 	chunk := c.opts.BatchChunk
 	reqs := make([]frame, 0, c.chunkCount(len(wqs)))
 	for at := 0; at < len(wqs); at += chunk {
@@ -297,7 +311,7 @@ func (c *EncryptedClient) batchCandidates(ctx context.Context, wqs []wire.BatchQ
 	}
 	resps, err := c.exchange(ctx, reqs, costs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	out := make([][]mindex.Entry, 0, len(wqs))
 	for ci, r := range resps {
@@ -305,26 +319,26 @@ func (c *EncryptedClient) batchCandidates(ctx context.Context, wqs []wire.BatchQ
 			lo := ci * chunk
 			// The server's "batch query N" counts within this chunk; the
 			// wrapped range rebases it onto the caller's query indices.
-			return nil, fmt.Errorf("core: query chunk %d (queries %d..%d): %w",
+			return nil, nil, fmt.Errorf("core: query chunk %d (queries %d..%d): %w",
 				ci, queryIndex(lo), queryIndex(min(lo+chunk, len(wqs))-1), err)
 		}
 		if r.typ != wire.MsgBatchCandidates {
-			return nil, fmt.Errorf("core: unexpected batch query response %v", r.typ)
+			return nil, nil, fmt.Errorf("core: unexpected batch query response %v", r.typ)
 		}
 		m, err := wire.DecodeBatchQueryResp(r.payload)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		creditServer(costs, m.ServerNanos)
 		for _, cands := range m.Results {
 			if len(out) >= len(wqs) {
-				return nil, fmt.Errorf("core: server returned more batch results than queries")
+				return nil, nil, fmt.Errorf("core: server returned more batch results than queries")
 			}
 			out = append(out, cands)
 		}
 	}
 	if len(out) != len(wqs) {
-		return nil, fmt.Errorf("core: server returned %d batch results for %d queries", len(out), len(wqs))
+		return nil, nil, fmt.Errorf("core: server returned %d batch results for %d queries", len(out), len(wqs))
 	}
-	return out, nil
+	return out, resps, nil
 }

@@ -975,5 +975,6 @@ func (s *Server) helloResp() wire.HelloResp {
 		EagerRootSplit: cfg.EagerRootSplit || shards > 1,
 		Shards:         uint32(shards),
 		Entries:        uint64(entries),
+		Proto:          wire.Proto,
 	}
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -37,8 +38,13 @@ func GetBuffer() *Buffer {
 }
 
 // PutBuffer returns a buffer to the pool once its bytes have been written
-// out. The caller must not touch b.B afterwards.
+// out or decoded from. The caller must not touch b.B afterwards, nor any
+// view into it (in race-detector builds its bytes are zeroed here to make
+// such a use fail).
 func PutBuffer(b *Buffer) {
+	if poisonPut {
+		clear(b.B[:cap(b.B)])
+	}
 	if cap(b.B) > maxPooledBuffer {
 		return
 	}
@@ -124,7 +130,7 @@ func (r *Reader) take(n int) []byte {
 		r.err = ErrCodec
 		return nil
 	}
-	out := r.b[:n]
+	out := r.b[:n:n]
 	r.b = r.b[n:]
 	return out
 }
@@ -174,15 +180,13 @@ func (r *Reader) len32(elemSize int) int {
 }
 
 // BytesField reads a length-prefixed byte slice (copied).
-func (r *Reader) BytesField() []byte {
-	n := r.len32(1)
-	b := r.take(n)
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, b)
-	return out
+func (r *Reader) BytesField() []byte { return bytes.Clone(r.bytesView()) }
+
+// bytesView reads a length-prefixed byte slice without copying it: the
+// result aliases the payload being decoded, capped at its own length so an
+// append cannot spill into the bytes after it.
+func (r *Reader) bytesView() []byte {
+	return r.take(r.len32(1))
 }
 
 // StringField reads a length-prefixed string.
@@ -197,6 +201,30 @@ func (r *Reader) F64Slice() []float64 {
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = r.F64()
+	}
+	return out
+}
+
+// i32SliceOr reads a length-prefixed []int32, returning prev itself when
+// the encoded values equal it. Ranked candidates arrive grouped by source
+// cell, so consecutive records share one prefix slice instead of each
+// decoding a copy.
+func (r *Reader) i32SliceOr(prev []int32) []int32 {
+	n := r.len32(4)
+	if r.err != nil || n == 0 {
+		return nil
+	}
+	raw := r.take(4 * n)
+	same := len(prev) == n
+	for i := 0; same && i < n; i++ {
+		same = int32(binary.LittleEndian.Uint32(raw[4*i:])) == prev[i]
+	}
+	if same {
+		return prev
+	}
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
 	return out
 }

@@ -28,6 +28,14 @@ const (
 	HelloModePlain     uint8 = 2
 )
 
+// Proto is the version of the wire protocol this build speaks, reported in
+// every hello. Version 1 answers reads with candidate records (ID and
+// ciphertext only); a server built before the version field existed
+// answers with full entry records and reports 0. Clients and coordinators
+// refuse a peer whose version differs from their own, since a record
+// decoded under the other layout is garbage.
+const Proto = 1
+
 // HelloResp identifies a server: its deployment mode and the index shape a
 // client (or coordinator) must match to talk to it meaningfully. A
 // coordinator rejects nodes whose NumPivots, MaxLevel or Ranking disagree —
@@ -54,6 +62,9 @@ type HelloResp struct {
 	Shards uint32
 	// Entries is the live entry count — the health-check payload.
 	Entries uint64
+	// Proto is the server's wire protocol version (see the Proto
+	// constant). It is the last field: a hello without it decodes as 0.
+	Proto uint32
 }
 
 // Encode serializes the response payload.
@@ -71,6 +82,7 @@ func (m HelloResp) Encode() []byte {
 	}
 	b.U32(m.Shards)
 	b.U64(m.Entries)
+	b.U32(m.Proto)
 	return b.B
 }
 
@@ -87,46 +99,48 @@ func DecodeHelloResp(p []byte) (HelloResp, error) {
 		Shards:         r.U32(),
 		Entries:        r.U64(),
 	}
+	if len(r.b) > 0 {
+		m.Proto = r.U32()
+	}
 	return m, r.Err()
 }
 
 // appendRanked writes a count-prefixed ranked-candidate list: per
-// candidate, the source cell's promise and prefix followed by the entry
-// record.
+// candidate, the source cell's promise and prefix followed by the
+// candidate record (ID and ciphertext; see appendCandidates).
 func appendRanked(b *Buffer, rcs []mindex.RankedCandidate) {
 	b.U32(uint32(len(rcs)))
 	for i := range rcs {
 		b.F64(rcs[i].Promise)
 		b.I32Slice(rcs[i].Prefix)
-		b.B = mindex.AppendEntry(b.B, rcs[i].Entry)
+		b.U64(rcs[i].Entry.ID)
+		b.Bytes(rcs[i].Entry.Payload)
 	}
 }
 
+// rankedMinSize is the encoded size of a ranked candidate with an empty
+// prefix and payload: promise, prefix length, then a candidate record.
+const rankedMinSize = 8 + 4 + candidateMinSize
+
+// readRanked decodes a ranked-candidate list as views, like readCandidates;
+// consecutive candidates of one cell share a single decoded prefix.
 func readRanked(r *Reader) []mindex.RankedCandidate {
-	n := int(r.U32())
+	n := r.len32(rankedMinSize)
 	if r.err != nil {
 		return nil
 	}
-	// Each ranked candidate occupies at least 32 bytes: 8 (promise) +
-	// 4 (prefix length) + 20 (minimal entry record).
-	if n < 0 || n > len(r.b)/32+1 {
-		r.err = ErrCodec
-		return nil
+	out := make([]mindex.RankedCandidate, n)
+	var prefix []int32
+	for i := range out {
+		rc := &out[i]
+		rc.Promise = r.F64()
+		prefix = r.i32SliceOr(prefix)
+		rc.Prefix = prefix
+		rc.Entry.ID = r.U64()
+		rc.Entry.Payload = r.bytesView()
 	}
-	out := make([]mindex.RankedCandidate, 0, n)
-	for range n {
-		promise := r.F64()
-		prefix := r.I32Slice()
-		if r.err != nil {
-			return nil
-		}
-		e, rest, err := mindex.DecodeEntry(r.b)
-		if err != nil {
-			r.err = err
-			return nil
-		}
-		r.b = rest
-		out = append(out, mindex.RankedCandidate{Entry: e, Promise: promise, Prefix: prefix})
+	if r.err != nil {
+		return nil
 	}
 	return out
 }
@@ -135,7 +149,8 @@ func readRanked(r *Reader) []mindex.RankedCandidate {
 // request, parallel to the request's query list. Range queries (exact, no
 // cell ranking) return their candidates with promise 0 and a nil prefix;
 // first-cell queries return the winning cell's entries, every one annotated
-// with that cell's promise and prefix.
+// with that cell's promise and prefix. Decoded candidates are views: their
+// Payloads alias the decoded frame, and their Prefixes may be shared.
 type BatchRankedResp struct {
 	ServerNanos uint64
 	Results     [][]mindex.RankedCandidate
@@ -157,22 +172,21 @@ func (m BatchRankedResp) Encode() []byte {
 	return b.B
 }
 
-// DecodeBatchRankedResp parses a BatchRankedResp payload.
+// DecodeBatchRankedResp parses a BatchRankedResp payload. The candidates'
+// Payloads alias p.
 func DecodeBatchRankedResp(p []byte) (BatchRankedResp, error) {
-	r := NewReader(p)
+	r := Reader{b: p}
 	m := BatchRankedResp{ServerNanos: r.U64()}
-	n := int(r.U32())
 	// Each result occupies at least its 4-byte candidate count.
-	if n < 0 || n > len(p)/4+1 {
-		return m, ErrCodec
+	n := r.len32(4)
+	if r.err != nil {
+		return m, r.err
 	}
-	m.Results = make([][]mindex.RankedCandidate, 0, n)
-	for range n {
-		rcs := readRanked(r)
-		if r.err != nil {
+	m.Results = make([][]mindex.RankedCandidate, n)
+	for i := range m.Results {
+		if m.Results[i] = readRanked(&r); r.err != nil {
 			break
 		}
-		m.Results = append(m.Results, rcs)
 	}
 	return m, r.Err()
 }

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"testing"
@@ -14,6 +15,7 @@ func TestHelloRespRoundTrip(t *testing.T) {
 		{Mode: HelloModeEncrypted, NumPivots: 30, MaxLevel: 8, BucketCapacity: 200,
 			Ranking: 1, EagerRootSplit: true, Shards: 16, Entries: math.MaxUint64},
 		{Mode: HelloModePlain, NumPivots: 1, MaxLevel: 1, BucketCapacity: 1, Ranking: 2},
+		{Mode: HelloModeEncrypted, NumPivots: 50, Proto: Proto},
 	}
 	for _, want := range cases {
 		got, err := DecodeHelloResp(want.Encode())
@@ -26,15 +28,32 @@ func TestHelloRespRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHelloRespTruncated: every truncation fails except the one that cuts
+// exactly the trailing Proto field — that is the hello of a server built
+// before the field existed, and it decodes as version 0.
 func TestHelloRespTruncated(t *testing.T) {
-	full := HelloResp{Mode: 1, NumPivots: 4, MaxLevel: 2, BucketCapacity: 8, Shards: 1}.Encode()
+	want := HelloResp{Mode: 1, NumPivots: 4, MaxLevel: 2, BucketCapacity: 8, Shards: 1, Proto: Proto}
+	full := want.Encode()
+	legacy := len(full) - 4
 	for n := range len(full) {
-		if _, err := DecodeHelloResp(full[:n]); err == nil {
-			t.Fatalf("truncation to %d bytes decoded without error", n)
+		got, err := DecodeHelloResp(full[:n])
+		if n != legacy {
+			if err == nil {
+				t.Fatalf("truncation to %d bytes decoded without error", n)
+			}
+			continue
+		}
+		old := want
+		old.Proto = 0
+		if err != nil || got != old {
+			t.Fatalf("pre-version hello (%d bytes): got %+v, %v; want %+v", n, got, err, old)
 		}
 	}
 }
 
+// TestBatchRankedRespRoundTrip: a ranked reply carries each candidate's
+// promise and prefix plus its candidate record — ID and ciphertext. The
+// entry's own Perm and Dists are not part of the record.
 func TestBatchRankedRespRoundTrip(t *testing.T) {
 	want := BatchRankedResp{
 		ServerNanos: 42,
@@ -61,8 +80,11 @@ func TestBatchRankedRespRoundTrip(t *testing.T) {
 	for i, rc := range want.Results[1] {
 		g := got.Results[1][i]
 		if g.Promise != rc.Promise || !reflect.DeepEqual(g.Prefix, rc.Prefix) ||
-			!reflect.DeepEqual(g.Entry, rc.Entry) {
+			g.Entry.ID != rc.Entry.ID || !bytes.Equal(g.Entry.Payload, rc.Entry.Payload) {
 			t.Fatalf("candidate %d mismatch: got %+v, want %+v", i, g, rc)
+		}
+		if g.Entry.Perm != nil || g.Entry.Dists != nil || g.Entry.Vec != nil {
+			t.Fatalf("candidate %d carried index metadata: %+v", i, g.Entry)
 		}
 	}
 }

@@ -26,6 +26,26 @@
 // Decoders accept exactly what the encoders produce, so the byte counts
 // measured by the benchmarks are the exact bytes a real deployment ships.
 //
+// # Candidate records are views
+//
+// Every candidate set on the read side (CandidatesResp, BatchQueryResp,
+// BatchRankedResp) travels as candidate records — object ID and
+// ciphertext, nothing else — and decodes without copying: each decoded
+// entry's Payload aliases the payload bytes it was decoded from. One
+// allocation holds the entry list; no candidate allocates. A caller that
+// keeps a payload beyond the life of its frame must copy it, and a frame
+// read into a pooled buffer (ReadFrameInto) may go back to the pool only
+// once nothing reads those views any more. The write side — inserts,
+// deletes, re-sync and streamed ingest — keeps the full, copying entry
+// codec (mindex.AppendEntry / DecodeEntry), so nothing an index stores
+// ever pins a frame.
+//
+// # Protocol version
+//
+// HelloResp.Proto carries the wire protocol version (Proto). Clients and
+// coordinators refuse a server of another version at the handshake rather
+// than misread its records.
+//
 // # Context-derived deadlines
 //
 // ArmContext is the single bridge between context semantics and net.Conn

@@ -199,8 +199,19 @@ func WriteFrame(w io.Writer, t MsgType, payload []byte) error {
 	return err
 }
 
-// ReadFrame reads one frame written by WriteFrame.
+// ReadFrame reads one frame written by WriteFrame into a fresh payload
+// slice the caller owns.
 func ReadFrame(r io.Reader) (MsgType, []byte, error) {
+	return ReadFrameInto(r, nil)
+}
+
+// ReadFrameInto is ReadFrame reading the payload into buf, whose capacity
+// it reuses (growing it only for a larger frame), with the same size
+// check: the returned payload aliases buf.B and is valid until buf is
+// reset, reused or returned to the pool. A client that reads its candidate
+// frames into a pooled buffer pays neither an allocation nor the zeroing of
+// one per response. A nil buf reads into a fresh slice, like ReadFrame.
+func ReadFrameInto(r io.Reader, buf *Buffer) (MsgType, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -209,7 +220,18 @@ func ReadFrame(r io.Reader) (MsgType, []byte, error) {
 	if size == 0 || size > MaxFrameSize {
 		return 0, nil, fmt.Errorf("wire: implausible frame size %d", size)
 	}
-	payload := make([]byte, size-1)
+	n := int(size - 1)
+	var payload []byte
+	switch {
+	case buf == nil:
+		payload = make([]byte, n)
+	case cap(buf.B) >= n:
+		payload = buf.B[:n]
+		buf.B = payload
+	default:
+		payload = make([]byte, n)
+		buf.B = payload
+	}
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, fmt.Errorf("wire: short frame body: %w", err)
 	}

@@ -12,7 +12,10 @@ import (
 // protocol share them, so the byte counts measured by the benchmark are the
 // exact bytes a real deployment would ship.
 
-// appendEntries writes a count-prefixed entry list.
+// appendEntries writes a count-prefixed list of full entry records (the
+// mindex codec): the write side of the protocol — inserts, deletes,
+// re-sync and streamed ingest — where the server must index what it
+// receives.
 func appendEntries(b *Buffer, entries []mindex.Entry) {
 	b.U32(uint32(len(entries)))
 	for i := range entries {
@@ -39,6 +42,48 @@ func readEntries(r *Reader) []mindex.Entry {
 		}
 		r.b = rest
 		out = append(out, e)
+	}
+	return out
+}
+
+// Candidate record, the read side of the protocol (every candidate set a
+// server or coordinator answers with):
+//
+//	id     uint64
+//	payLen uint32 | payload bytes
+//
+// A candidate carries exactly what the client refines — the object ID and
+// its ciphertext. The entry's permutation prefix, pivot distances and any
+// plaintext vector stay on the server: the encoder drops them, so no reply
+// discloses other objects' pivot-space coordinates.
+
+// candidateMinSize is the encoded size of a candidate with an empty
+// payload.
+const candidateMinSize = 8 + 4
+
+// appendCandidates writes a count-prefixed candidate list.
+func appendCandidates(b *Buffer, entries []mindex.Entry) {
+	b.U32(uint32(len(entries)))
+	for i := range entries {
+		b.U64(entries[i].ID)
+		b.Bytes(entries[i].Payload)
+	}
+}
+
+// readCandidates decodes a candidate list as views: one allocation for the
+// list, none per candidate — every Payload aliases the bytes being decoded.
+func readCandidates(r *Reader) []mindex.Entry {
+	n := r.len32(candidateMinSize)
+	if r.err != nil {
+		return nil
+	}
+	out := make([]mindex.Entry, n)
+	for i := range out {
+		out[i].ID = r.U64()
+		out[i].Payload = r.bytesView()
+	}
+	if r.err != nil {
+		return nil
 	}
 	return out
 }
@@ -360,10 +405,12 @@ func DecodeApproxPlainReq(p []byte) (ApproxPlainReq, error) {
 	return m, r.Err()
 }
 
-// CandidatesResp returns a candidate set of entries; ServerNanos is the time
-// the server spent preparing it (DistNanos of which went into distance
+// CandidatesResp returns a candidate set as candidate records (ID and
+// ciphertext per entry; see appendCandidates); ServerNanos is the time the
+// server spent preparing it (DistNanos of which went into distance
 // computations — zero for encrypted deployments, where the server cannot
-// compute distances at all).
+// compute distances at all). Decoded entries are views: their Payloads
+// alias the decoded frame.
 type CandidatesResp struct {
 	ServerNanos uint64
 	DistNanos   uint64
@@ -377,7 +424,7 @@ type CandidatesResp struct {
 func (m CandidatesResp) AppendTo(b *Buffer) {
 	b.U64(m.ServerNanos)
 	b.U64(m.DistNanos)
-	appendEntries(b, m.Entries)
+	appendCandidates(b, m.Entries)
 }
 
 // Encode serializes the response payload.
@@ -387,10 +434,11 @@ func (m CandidatesResp) Encode() []byte {
 	return b.B
 }
 
-// DecodeCandidatesResp parses a CandidatesResp payload.
+// DecodeCandidatesResp parses a CandidatesResp payload. The entries' Payloads
+// alias p.
 func DecodeCandidatesResp(p []byte) (CandidatesResp, error) {
-	r := NewReader(p)
-	m := CandidatesResp{ServerNanos: r.U64(), DistNanos: r.U64(), Entries: readEntries(r)}
+	r := Reader{b: p}
+	m := CandidatesResp{ServerNanos: r.U64(), DistNanos: r.U64(), Entries: readCandidates(&r)}
 	return m, r.Err()
 }
 
@@ -814,7 +862,8 @@ func DecodeBatchQueryReq(p []byte) (BatchQueryReq, error) {
 }
 
 // BatchQueryResp returns the candidate sets of a batched query, parallel to
-// the request's query list. ServerNanos covers the whole batch.
+// the request's query list, as candidate records (see CandidatesResp).
+// ServerNanos covers the whole batch.
 type BatchQueryResp struct {
 	ServerNanos uint64
 	Results     [][]mindex.Entry
@@ -825,7 +874,7 @@ func (m BatchQueryResp) AppendTo(b *Buffer) {
 	b.U64(m.ServerNanos)
 	b.U32(uint32(len(m.Results)))
 	for _, entries := range m.Results {
-		appendEntries(b, entries)
+		appendCandidates(b, entries)
 	}
 }
 
@@ -836,22 +885,21 @@ func (m BatchQueryResp) Encode() []byte {
 	return b.B
 }
 
-// DecodeBatchQueryResp parses a BatchQueryResp payload.
+// DecodeBatchQueryResp parses a BatchQueryResp payload. The entries'
+// Payloads alias p.
 func DecodeBatchQueryResp(p []byte) (BatchQueryResp, error) {
-	r := NewReader(p)
+	r := Reader{b: p}
 	m := BatchQueryResp{ServerNanos: r.U64()}
-	n := int(r.U32())
-	// Each result occupies at least its 4-byte entry count.
-	if n < 0 || n > len(p)/4+1 {
-		return m, ErrCodec
+	// Each result occupies at least its 4-byte candidate count.
+	n := r.len32(4)
+	if r.err != nil {
+		return m, r.err
 	}
-	m.Results = make([][]mindex.Entry, 0, n)
-	for range n {
-		entries := readEntries(r)
-		if r.err != nil {
+	m.Results = make([][]mindex.Entry, n)
+	for i := range m.Results {
+		if m.Results[i] = readCandidates(&r); r.err != nil {
 			break
 		}
-		m.Results = append(m.Results, entries)
 	}
 	return m, r.Err()
 }
