@@ -7,9 +7,9 @@
 // Placement follows the same rule the in-process engine uses for shards:
 // an entry whose pivot permutation starts with pivot p lives on node
 // p mod N (over the currently live nodes), so every first-level Voronoi
-// cell is wholly contained in exactly one node. Range queries are exact
-// per node and concatenate; approximate queries fan out as MsgBatchRanked
-// and the per-node candidate streams are merged by the shared
+// cell is wholly contained in exactly one node. Every query fans out as
+// MsgBatchRanked: range results are exact per node and concatenate, and
+// approximate candidate streams are merged by the shared
 // (promise, prefix, source) order of internal/merge — one merge
 // implementation, two call sites (engine across shards, coordinator across
 // nodes) — so a multi-node cluster reproduces the single-server candidate

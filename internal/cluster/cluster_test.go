@@ -115,44 +115,43 @@ func rawRoundTrip(t *testing.T, addr string, typ wire.MsgType, payload []byte) (
 	return respType, resp
 }
 
+// queryIDs sends one encrypted query as a batch of one — how every lone
+// query travels — and returns its candidate IDs in served order.
+func queryIDs(t *testing.T, addr string, q wire.BatchQuery) []uint64 {
+	t.Helper()
+	respType, resp := rawRoundTrip(t, addr, wire.MsgBatchQuery,
+		wire.BatchQueryReq{Queries: []wire.BatchQuery{q}}.Encode())
+	if respType != wire.MsgBatchCandidates {
+		t.Fatalf("unexpected response %v", respType)
+	}
+	m, err := wire.DecodeBatchQueryResp(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Results) != 1 {
+		t.Fatalf("batch of one returned %d results", len(m.Results))
+	}
+	ids := make([]uint64, len(m.Results[0]))
+	for i, e := range m.Results[0] {
+		ids[i] = e.ID
+	}
+	return ids
+}
+
 // approxCandidateIDs returns the ranked approximate candidate ID list the
 // server at addr serves for query q — the exact list the acceptance
 // criterion compares across deployments.
 func approxCandidateIDs(t *testing.T, addr string, w *testWorld, q metric.Vector, candSize int) []uint64 {
 	t.Helper()
 	perm := pivot.Permutation(w.key.Pivots().Distances(q))
-	respType, resp := rawRoundTrip(t, addr, wire.MsgApproxPerm,
-		wire.ApproxPermReq{Perm: perm, CandSize: uint32(candSize)}.Encode())
-	if respType != wire.MsgCandidates {
-		t.Fatalf("unexpected response %v", respType)
-	}
-	m, err := wire.DecodeCandidatesResp(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]uint64, len(m.Entries))
-	for i, e := range m.Entries {
-		ids[i] = e.ID
-	}
-	return ids
+	return queryIDs(t, addr, wire.BatchQuery{Kind: wire.BatchApproxPerm, Perm: perm, CandSize: uint32(candSize)})
 }
 
 // firstCellIDs returns the most promising cell's entry IDs as a sorted set.
 func firstCellIDs(t *testing.T, addr string, w *testWorld, q metric.Vector) []uint64 {
 	t.Helper()
 	perm := pivot.Permutation(w.key.Pivots().Distances(q))
-	respType, resp := rawRoundTrip(t, addr, wire.MsgFirstCell, wire.FirstCellReq{Perm: perm}.Encode())
-	if respType != wire.MsgCandidates {
-		t.Fatalf("unexpected response %v", respType)
-	}
-	m, err := wire.DecodeCandidatesResp(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := make([]uint64, len(m.Entries))
-	for i, e := range m.Entries {
-		ids[i] = e.ID
-	}
+	ids := queryIDs(t, addr, wire.BatchQuery{Kind: wire.BatchFirstCell, Perm: perm})
 	slices.Sort(ids)
 	return ids
 }
@@ -477,8 +476,9 @@ func TestCloseUnblocksHungNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.MsgRangeDists,
-		(wire.RangeDistsReq{Dists: make([]float64, testPivots), Radius: 1}).Encode()); err != nil {
+	if err := wire.WriteFrame(conn, wire.MsgBatchQuery, wire.BatchQueryReq{Queries: []wire.BatchQuery{
+		{Kind: wire.BatchRange, Dists: make([]float64, testPivots), Radius: 1},
+	}}.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(100 * time.Millisecond) // let the handler reach the node read
@@ -495,21 +495,48 @@ func TestCloseUnblocksHungNode(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRefusesPreVersionNode: a node built before the hello
-// carried a protocol version answers reads with full entry records, which
-// this coordinator would misread. Admission refuses it by version, naming
-// both versions.
+// TestCoordinatorRefusesPreVersionNode: a node of another protocol
+// version is refused at admission by version, naming both versions. A node
+// built before the hello carried a version answers reads with full entry
+// records, which this coordinator would misread; a version-1 node still
+// expects the per-kind query frames version 2 retired.
 func TestCoordinatorRefusesPreVersionNode(t *testing.T) {
+	hello := wire.HelloResp{
+		Mode: wire.HelloModeEncrypted, NumPivots: testPivots, MaxLevel: 8,
+		BucketCapacity: testBucket, Ranking: 1, EagerRootSplit: true, Shards: 1,
+	}
+	v1 := hello
+	v1.Proto = 1
+	pre := hello.Encode()
+	for _, tc := range []struct {
+		name  string
+		hello []byte
+		peer  uint32
+	}{
+		{"pre-version node", pre[:len(pre)-4], 0}, // the pre-version layout ends after Entries
+		{"version-1 node", v1.Encode(), 1},
+	} {
+		coord, err := cluster.New([]string{helloOnlyNode(t, tc.hello)}, cluster.Options{Logf: t.Logf})
+		if err == nil {
+			coord.Close()
+			t.Fatalf("coordinator admitted a %s", tc.name)
+		}
+		want := fmt.Sprintf("speaks wire protocol version %d, this coordinator speaks version %d", tc.peer, wire.Proto)
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: got %q, want it to contain %q", tc.name, err, want)
+		}
+	}
+}
+
+// helloOnlyNode starts a fake node that answers every hello with the given
+// payload and hangs up on anything else; it returns the node's address.
+func helloOnlyNode(t *testing.T, hello []byte) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	hello := wire.HelloResp{
-		Mode: wire.HelloModeEncrypted, NumPivots: testPivots, MaxLevel: 8,
-		BucketCapacity: testBucket, Ranking: 1, EagerRootSplit: true, Shards: 1,
-	}.Encode()
-	hello = hello[:len(hello)-4] // the pre-version layout ends after Entries
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -530,15 +557,7 @@ func TestCoordinatorRefusesPreVersionNode(t *testing.T) {
 			}()
 		}
 	}()
-	coord, err := cluster.New([]string{ln.Addr().String()}, cluster.Options{Logf: t.Logf})
-	if err == nil {
-		coord.Close()
-		t.Fatal("coordinator admitted a pre-version node")
-	}
-	want := fmt.Sprintf("speaks wire protocol version 0, this coordinator speaks version %d", wire.Proto)
-	if !strings.Contains(err.Error(), want) {
-		t.Fatalf("got %q, want it to contain %q", err, want)
-	}
+	return ln.Addr().String()
 }
 
 // TestCoordinatorHello: the coordinator answers hello with the agreed
@@ -581,5 +600,36 @@ func TestUnfederatedRequestRejected(t *testing.T) {
 	}
 	if !strings.Contains(m.Msg, "not federated") {
 		t.Fatalf("unexpected error message %q", m.Msg)
+	}
+}
+
+// TestRetiredQueryCodesRejected: the coordinator answers the reserved codes
+// of the per-kind query frames protocol version 1 used with MsgError, and
+// the connection keeps serving.
+func TestRetiredQueryCodesRejected(t *testing.T) {
+	_, coord := startCluster(t, 2, true)
+	conn, err := net.Dial("tcp", coord.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	exchange := func(typ wire.MsgType, payload []byte) wire.MsgType {
+		t.Helper()
+		if err := wire.WriteFrame(conn, typ, payload); err != nil {
+			t.Fatal(err)
+		}
+		respType, _, err := wire.ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return respType
+	}
+	for _, code := range []uint8{4, 5, 6, 7, 8, 9, 10, 32} {
+		if got := exchange(wire.MsgType(code), []byte{1, 2, 3}); got != wire.MsgError {
+			t.Fatalf("retired code %d: got %v", code, got)
+		}
+		if got := exchange(wire.MsgHello, wire.HelloReq{}.Encode()); got != wire.MsgHelloAck {
+			t.Fatalf("connection unusable after retired code %d: %v", code, got)
+		}
 	}
 }

@@ -89,42 +89,6 @@ func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time) 
 			ServerNanos: c.serverNanos(start), Deleted: deleted,
 		}.Encode(), nil
 
-	case wire.MsgRangeDists:
-		entries, err := c.concatCandidates(c.ctx, wire.MsgRangeDists, payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgCandidates, wire.CandidatesResp{
-			ServerNanos: c.serverNanos(start), Entries: entries,
-		}.Encode(), nil
-
-	case wire.MsgApproxPerm:
-		req, err := wire.DecodeApproxPermReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		return c.singleQuery(wire.BatchQuery{
-			Kind: wire.BatchApproxPerm, Perm: req.Perm, CandSize: req.CandSize,
-		}, start)
-
-	case wire.MsgApproxDists:
-		req, err := wire.DecodeApproxDistsReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		return c.singleQuery(wire.BatchQuery{
-			Kind: wire.BatchApproxDists, Dists: req.Dists, CandSize: req.CandSize,
-		}, start)
-
-	case wire.MsgFirstCell:
-		req, err := wire.DecodeFirstCellReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		return c.singleQuery(wire.BatchQuery{
-			Kind: wire.BatchFirstCell, Perm: req.Perm, Dists: req.Dists,
-		}, start)
-
 	case wire.MsgBatchQuery:
 		req, err := wire.DecodeBatchQueryReq(payload)
 		if err != nil {
@@ -148,19 +112,6 @@ func (c *Coordinator) handle(typ wire.MsgType, payload []byte, start time.Time) 
 		}.Encode(), nil
 	}
 	return 0, nil, fmt.Errorf("cluster: request type %v is not federated; connect to a node directly", typ)
-}
-
-// singleQuery evaluates one approximate-flavor query through the ranked
-// fan-out and answers with a plain candidate set, exactly like a single
-// server's MsgCandidates response.
-func (c *Coordinator) singleQuery(q wire.BatchQuery, start time.Time) (wire.MsgType, []byte, error) {
-	results, err := c.rankedFan(c.ctx, wire.BatchQueryReq{Queries: []wire.BatchQuery{q}})
-	if err != nil {
-		return 0, nil, err
-	}
-	return wire.MsgCandidates, wire.CandidatesResp{
-		ServerNanos: c.serverNanos(start), Entries: results[0],
-	}.Encode(), nil
 }
 
 // routeNode maps an entry permutation onto one of the given live nodes:
@@ -423,9 +374,9 @@ func (c *Coordinator) broadcast(ctx context.Context, t wire.MsgType, payload []b
 }
 
 // concatCandidates broadcasts a request whose per-node responses are exact
-// candidate sets (precise range, download-all) and concatenates them in
-// node order — the cross-node form of the engine's per-shard range
-// concatenation, exact because every first-level cell lives on one node.
+// candidate sets (download-all) and concatenates them in node order — the
+// cross-node form of the engine's per-shard concatenation, exact because
+// every first-level cell lives on one node.
 func (c *Coordinator) concatCandidates(ctx context.Context, t wire.MsgType, payload []byte) ([]mindex.Entry, error) {
 	fan := c.broadcast
 	if c.replicated() {

@@ -100,20 +100,20 @@ func (c *PlainClient) InsertContext(ctx context.Context, objs []metric.Object) (
 	return costs, nil
 }
 
-// plainMessage maps a normalized Query onto its plain-protocol frame. The
+// plainQuery maps a normalized Query onto its MsgPlainQuery payload. The
 // raw query vector travels to the server — the defining disclosure of the
 // non-encrypted baseline.
-func plainMessage(nq Query) (wire.MsgType, []byte) {
+func plainQuery(nq Query) []byte {
 	switch nq.Kind {
 	case KindRange:
-		return wire.MsgRangePlain, wire.RangePlainReq{Q: nq.Vec, Radius: nq.Radius}.Encode()
+		return wire.PlainQueryReq{Kind: wire.PlainRange, Q: nq.Vec, Radius: nq.Radius}.Encode()
 	case KindKNN:
-		return wire.MsgKNNPlain, wire.KNNPlainReq{Q: nq.Vec, K: uint32(nq.K)}.Encode()
+		return wire.PlainQueryReq{Kind: wire.PlainKNN, Q: nq.Vec, K: uint32(nq.K)}.Encode()
 	case KindFirstCell:
-		return wire.MsgFirstCellPlain, wire.FirstCellPlainReq{Q: nq.Vec, K: uint32(nq.K)}.Encode()
+		return wire.PlainQueryReq{Kind: wire.PlainFirstCell, Q: nq.Vec, K: uint32(nq.K)}.Encode()
 	default: // KindApproxKNN
-		return wire.MsgApproxPlain,
-			wire.ApproxPlainReq{Q: nq.Vec, K: uint32(nq.K), CandSize: uint32(effCandSize(nq))}.Encode()
+		return wire.PlainQueryReq{Kind: wire.PlainApprox, Q: nq.Vec, K: uint32(nq.K),
+			CandSize: uint32(effCandSize(nq))}.Encode()
 	}
 }
 
@@ -146,8 +146,7 @@ func (c *PlainClient) Search(ctx context.Context, q Query) ([]Result, stats.Cost
 	if err != nil {
 		return nil, costs, err
 	}
-	reqType, payload := plainMessage(nq)
-	respType, resp, err := c.roundTrip(ctx, reqType, payload, &costs)
+	respType, resp, err := c.roundTrip(ctx, wire.MsgPlainQuery, plainQuery(nq), &costs)
 	if err != nil {
 		return nil, costs, err
 	}
@@ -159,12 +158,12 @@ func (c *PlainClient) Search(ctx context.Context, q Query) ([]Result, stats.Cost
 	return out, costs, nil
 }
 
-// SearchBatch evaluates many queries by pipelining one frame per query
-// over a single leased connection — the plain protocol has no batch
-// envelope, but the server answers pipelined frames in order, so the whole
-// workload still pays one round-trip latency. Results are per-query, in
-// input order; ctx cancellation is checked between writes and interrupts
-// the blocked reader.
+// SearchBatch evaluates many queries by pipelining one MsgPlainQuery frame
+// per query over a single leased connection — the plain protocol has no
+// batch envelope, but the server answers pipelined frames in order, so the
+// whole workload still pays one round-trip latency. Results are per-query,
+// in input order; ctx cancellation is checked between writes and
+// interrupts the blocked reader.
 func (c *PlainClient) SearchBatch(ctx context.Context, qs []Query) ([][]Result, stats.Costs, error) {
 	var costs stats.Costs
 	start := time.Now()
@@ -178,8 +177,7 @@ func (c *PlainClient) SearchBatch(ctx context.Context, qs []Query) ([][]Result, 
 		if err != nil {
 			return nil, costs, fmt.Errorf("core: batch query %d: %w", i, err)
 		}
-		typ, payload := plainMessage(nq)
-		reqs[i] = frame{typ: typ, payload: payload}
+		reqs[i] = frame{typ: wire.MsgPlainQuery, payload: plainQuery(nq)}
 	}
 	var resps []frame
 	if err := c.pool.withConn(ctx, func(conn *wire.CountingConn) error {

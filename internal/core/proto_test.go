@@ -59,6 +59,7 @@ func TestDialRefusesOtherProtocolVersion(t *testing.T) {
 		peer  uint32
 	}{
 		{"pre-version server", current[:len(current)-4], 0},
+		{"version-1 server", hello(1), 1},
 		{"newer server", hello(wire.Proto + 1), wire.Proto + 1},
 	} {
 		c, err := DialEncrypted(helloServer(t, tc.hello), key, Options{MaxLevel: testMaxLevel})

@@ -33,7 +33,7 @@ func (c *coder) queryDists(q Query, costs *stats.Costs) []float64 {
 // phase of a KindKNN query) into its wire form. KindRange reveals the
 // transformed distance vector; the approximate kinds reveal the
 // permutation (footrule ranking) or transformed distances (distance-sum
-// ranking) — identical disclosure to the legacy single-query messages.
+// ranking) — the paper's per-query disclosure, nothing else.
 func (c *coder) wireQuery(nq Query, qDists []float64) wire.BatchQuery {
 	switch nq.Kind {
 	case KindRange:
@@ -63,40 +63,28 @@ func (c *coder) wireQuery(nq Query, qDists []float64) wire.BatchQuery {
 	}
 }
 
-// singleMessage maps a wire.BatchQuery onto the equivalent single-query
-// protocol message, so a lone Search costs one slim frame instead of a
-// batch envelope.
-func singleMessage(wq wire.BatchQuery) (wire.MsgType, []byte) {
-	switch wq.Kind {
-	case wire.BatchRange:
-		return wire.MsgRangeDists, wire.RangeDistsReq{Dists: wq.Dists, Radius: wq.Radius}.Encode()
-	case wire.BatchApproxDists:
-		return wire.MsgApproxDists, wire.ApproxDistsReq{Dists: wq.Dists, CandSize: wq.CandSize}.Encode()
-	case wire.BatchFirstCell:
-		return wire.MsgFirstCell, wire.FirstCellReq{Perm: wq.Perm, Dists: wq.Dists}.Encode()
-	default:
-		return wire.MsgApproxPerm, wire.ApproxPermReq{Perm: wq.Perm, CandSize: wq.CandSize}.Encode()
-	}
-}
-
-// candidates runs one candidate-producing round trip under ctx, reading the
+// candidates runs one query's candidate exchange under ctx — a one-query
+// MsgBatchQuery, the protocol's only encrypted query request — reading the
 // response into buf: the returned candidates are views whose Payloads
 // alias it.
 func (c *EncryptedClient) candidates(ctx context.Context, wq wire.BatchQuery, costs *stats.Costs, buf *wire.Buffer) ([]mindex.Entry, error) {
-	reqType, payload := singleMessage(wq)
-	respType, resp, err := c.roundTrip(ctx, reqType, payload, costs, buf)
+	payload := wire.BatchQueryReq{Queries: []wire.BatchQuery{wq}}.Encode()
+	respType, resp, err := c.roundTrip(ctx, wire.MsgBatchQuery, payload, costs, buf)
 	if err != nil {
 		return nil, err
 	}
-	if respType != wire.MsgCandidates {
-		return nil, fmt.Errorf("core: unexpected %v response %v", reqType, respType)
+	if respType != wire.MsgBatchCandidates {
+		return nil, fmt.Errorf("core: unexpected query response %v", respType)
 	}
-	m, err := wire.DecodeCandidatesResp(resp)
+	m, err := wire.DecodeBatchQueryResp(resp)
 	if err != nil {
 		return nil, err
+	}
+	if len(m.Results) != 1 {
+		return nil, fmt.Errorf("core: server returned %d results for 1 query", len(m.Results))
 	}
 	creditServer(costs, m.ServerNanos)
-	return m.Entries, nil
+	return m.Results[0], nil
 }
 
 // Search evaluates one similarity query against the encrypted cloud. The

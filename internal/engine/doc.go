@@ -24,4 +24,13 @@
 //
 // With Shards <= 1 the engine is a transparent wrapper around a single
 // mindex.Index and reproduces its results byte for byte.
+//
+// # One evaluator of a wire query
+//
+// EvalQuery is the only place an encrypted query of the wire protocol
+// (wire.BatchQuery) meets the engine: the server answers MsgBatchQuery
+// with it and the in-process DirectClient calls it too, so both validate
+// the client-sent permutation and evaluate every kind identically.
+// EvalRanked is its ranked, optionally pivot-filtered counterpart for the
+// cluster coordinator's MsgBatchRanked fan-out.
 package engine

@@ -355,7 +355,9 @@ func (ix *Index) ApproxRanked(qDists []float64, candSize int) ([]mindex.RankedCa
 		return nil, fmt.Errorf("kmeans: candidate size must be positive, got %d", candSize)
 	}
 	st := ix.st.Load()
-	out := make([]mindex.RankedCandidate, 0, candSize)
+	// Never preallocate past the live entries: candSize may come from the
+	// wire, and a client must not size the server's allocations.
+	out := make([]mindex.RankedCandidate, 0, min(candSize, st.size))
 	visited := 0
 	for _, j := range rankedCells(qDists) {
 		if len(out) >= candSize {

@@ -75,8 +75,9 @@ func (ix *Index) ApproxCandidatesRankedFiltered(q ApproxQuery, candSize int, fil
 	if err := ix.validateApprox(q); err != nil {
 		return nil, err
 	}
-	out := make([]RankedCandidate, 0, candSize)
-	err := ix.approxCollect(q, candSize, filter, func(entries []Entry, promise float64, prefix []int32) {
+	st := ix.state.Load()
+	out := make([]RankedCandidate, 0, st.candidateCap(candSize))
+	err := ix.approxCollect(st, q, candSize, filter, func(entries []Entry, promise float64, prefix []int32) {
 		for _, e := range entries {
 			out = append(out, RankedCandidate{Entry: e, Promise: promise, Prefix: prefix})
 		}

@@ -389,9 +389,9 @@ func (p *promiser) emitPromise(item rankedNode) float64 {
 // first-level cells before any counting, so the filtered stream is what an
 // index holding only those cells would emit. The emitted slice may be a
 // read-only snapshot view: callers copy out, never mutate or retain it.
-func (ix *Index) approxCollect(q ApproxQuery, candSize int, filter PivotFilter,
+// Callers size their output by candidateCap over the same snapshot st.
+func (ix *Index) approxCollect(st *readState, q ApproxQuery, candSize int, filter PivotFilter,
 	emit func(entries []Entry, promise float64, prefix []int32)) error {
-	st := ix.state.Load()
 	pr := ix.newPromiser(q)
 	pq := ix.getQueue(st.root, pr.useInt)
 	defer ix.putQueue(pq)
@@ -431,6 +431,14 @@ func (ix *Index) approxCollect(q ApproxQuery, candSize int, filter PivotFilter,
 	return nil
 }
 
+// candidateCap is the capacity to preallocate for a candidate list of
+// candSize over this snapshot: never more than its live entries. candSize
+// comes from the wire, so sizing by it alone would let one request make
+// the server allocate without bound.
+func (st *readState) candidateCap(candSize int) int {
+	return min(candSize, st.size)
+}
+
 // liveOnly filters tombstoned entries out of a bucket view. With no
 // tombstones pending it returns the view untouched (the common case);
 // otherwise the survivors are copied into a fresh slice — views are
@@ -462,8 +470,9 @@ func (ix *Index) ApproxCandidates(q ApproxQuery, candSize int) ([]Entry, error) 
 	if err := ix.validateApprox(q); err != nil {
 		return nil, err
 	}
-	out := make([]Entry, 0, candSize)
-	err := ix.approxCollect(q, candSize, nil, func(entries []Entry, _ float64, _ []int32) {
+	st := ix.state.Load()
+	out := make([]Entry, 0, st.candidateCap(candSize))
+	err := ix.approxCollect(st, q, candSize, nil, func(entries []Entry, _ float64, _ []int32) {
 		out = append(out, entries...)
 	})
 	if err != nil {
@@ -496,8 +505,9 @@ func (ix *Index) ApproxCandidatesRanked(q ApproxQuery, candSize int) ([]RankedCa
 	if err := ix.validateApprox(q); err != nil {
 		return nil, err
 	}
-	out := make([]RankedCandidate, 0, candSize)
-	err := ix.approxCollect(q, candSize, nil, func(entries []Entry, promise float64, prefix []int32) {
+	st := ix.state.Load()
+	out := make([]RankedCandidate, 0, st.candidateCap(candSize))
+	err := ix.approxCollect(st, q, candSize, nil, func(entries []Entry, promise float64, prefix []int32) {
 		for _, e := range entries {
 			out = append(out, RankedCandidate{Entry: e, Promise: promise, Prefix: prefix})
 		}

@@ -313,15 +313,6 @@ func (s *Server) distNanos(before time.Duration) uint64 {
 var errNeedEncrypted = errors.New("server: request requires the encrypted deployment")
 var errNeedPlain = errors.New("server: request requires the plain deployment")
 
-// candidates encodes the hot candidate-set response into the connection's
-// reused buffer; the returned bytes are valid until the next request on the
-// same connection, which is exactly the WriteFrame lifetime.
-func candidates(buf *wire.Buffer, resp wire.CandidatesResp) []byte {
-	buf.Reset()
-	resp.AppendTo(buf)
-	return buf.B
-}
-
 func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distBefore time.Duration, buf *wire.Buffer) (wire.MsgType, []byte, error) {
 	switch typ {
 	case wire.MsgHello:
@@ -354,7 +345,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		if err != nil {
 			return 0, nil, err
 		}
-		if err := s.plain.InsertBulk(req.Objects); err != nil {
+		if err := s.insertObjects(req.Objects); err != nil {
 			return 0, nil, err
 		}
 		return wire.MsgAck, wire.AckResp{
@@ -387,83 +378,6 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 			ServerNanos: s.serverNanos(start), Deleted: uint32(deleted),
 		}.Encode(), nil
 
-	case wire.MsgRangeDists:
-		if s.enc == nil {
-			return 0, nil, errNeedEncrypted
-		}
-		req, err := wire.DecodeRangeDistsReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		cands, err := s.enc.RangeByDists(req.Dists, req.Radius)
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgCandidates, candidates(buf, wire.CandidatesResp{
-			ServerNanos: s.serverNanos(start), Entries: cands,
-		}), nil
-
-	case wire.MsgApproxPerm:
-		if s.enc == nil {
-			return 0, nil, errNeedEncrypted
-		}
-		req, err := wire.DecodeApproxPermReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		if !pivot.ValidPermutation(req.Perm, s.enc.Config().NumPivots) {
-			return 0, nil, fmt.Errorf("server: request permutation is not a permutation of %d pivots",
-				s.enc.Config().NumPivots)
-		}
-		cands, err := s.enc.ApproxCandidates(
-			mindex.ApproxQuery{Ranks: pivot.Ranks(req.Perm)}, int(req.CandSize))
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgCandidates, candidates(buf, wire.CandidatesResp{
-			ServerNanos: s.serverNanos(start), Entries: cands,
-		}), nil
-
-	case wire.MsgApproxDists:
-		if s.enc == nil {
-			return 0, nil, errNeedEncrypted
-		}
-		req, err := wire.DecodeApproxDistsReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		cands, err := s.enc.ApproxCandidates(
-			mindex.ApproxQuery{
-				Dists: req.Dists,
-				Ranks: pivot.Ranks(pivot.Permutation(req.Dists)),
-			}, int(req.CandSize))
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgCandidates, candidates(buf, wire.CandidatesResp{
-			ServerNanos: s.serverNanos(start), Entries: cands,
-		}), nil
-
-	case wire.MsgFirstCell:
-		if s.enc == nil {
-			return 0, nil, errNeedEncrypted
-		}
-		req, err := wire.DecodeFirstCellReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		aq, err := firstCellQuery(req.Perm, req.Dists, s.enc.Config().NumPivots)
-		if err != nil {
-			return 0, nil, err
-		}
-		cands, err := s.enc.FirstCellCandidates(aq)
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgCandidates, candidates(buf, wire.CandidatesResp{
-			ServerNanos: s.serverNanos(start), Entries: cands,
-		}), nil
-
 	case wire.MsgBatchQuery:
 		if s.enc == nil {
 			return 0, nil, errNeedEncrypted
@@ -474,7 +388,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		}
 		results := make([][]mindex.Entry, len(req.Queries))
 		for i, q := range req.Queries {
-			results[i], err = s.evalBatchQuery(q)
+			results[i], err = s.enc.EvalQuery(q)
 			if err != nil {
 				return 0, nil, fmt.Errorf("server: batch query %d: %w", i, err)
 			}
@@ -495,7 +409,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		}
 		results := make([][]mindex.RankedCandidate, len(req.Queries))
 		for i, q := range req.Queries {
-			results[i], err = s.evalBatchRanked(q, nil)
+			results[i], err = s.enc.EvalRanked(q, nil)
 			if err != nil {
 				return 0, nil, fmt.Errorf("server: batch query %d: %w", i, err)
 			}
@@ -506,51 +420,28 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		}.AppendTo(buf)
 		return wire.MsgBatchRankedCandidates, buf.B, nil
 
-	case wire.MsgRangePlain:
+	case wire.MsgPlainQuery:
 		if s.plain == nil {
 			return 0, nil, errNeedPlain
 		}
-		req, err := wire.DecodeRangePlainReq(payload)
+		req, err := wire.DecodePlainQueryReq(payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		res, err := s.plain.Range(req.Q, req.Radius)
-		if err != nil {
+		if err := s.checkDim(req.Q); err != nil {
 			return 0, nil, err
 		}
-		return wire.MsgResults, wire.ResultsResp{
-			ServerNanos: s.serverNanos(start),
-			DistNanos:   s.distNanos(distBefore),
-			Results:     res,
-		}.Encode(), nil
-
-	case wire.MsgKNNPlain:
-		if s.plain == nil {
-			return 0, nil, errNeedPlain
+		var res []mindex.Result
+		switch req.Kind {
+		case wire.PlainRange:
+			res, err = s.plain.Range(req.Q, req.Radius)
+		case wire.PlainKNN:
+			res, err = s.plain.KNN(req.Q, int(req.K))
+		case wire.PlainApprox:
+			res, err = s.plain.ApproxKNN(req.Q, int(req.K), int(req.CandSize))
+		case wire.PlainFirstCell:
+			res, err = s.plain.FirstCellKNN(req.Q, int(req.K))
 		}
-		req, err := wire.DecodeKNNPlainReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		res, err := s.plain.KNN(req.Q, int(req.K))
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgResults, wire.ResultsResp{
-			ServerNanos: s.serverNanos(start),
-			DistNanos:   s.distNanos(distBefore),
-			Results:     res,
-		}.Encode(), nil
-
-	case wire.MsgFirstCellPlain:
-		if s.plain == nil {
-			return 0, nil, errNeedPlain
-		}
-		req, err := wire.DecodeFirstCellPlainReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		res, err := s.plain.FirstCellKNN(req.Q, int(req.K))
 		if err != nil {
 			return 0, nil, err
 		}
@@ -574,24 +465,6 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		}
 		return wire.MsgDeleteAck, wire.DeleteAckResp{
 			ServerNanos: s.serverNanos(start), Deleted: uint32(deleted),
-		}.Encode(), nil
-
-	case wire.MsgApproxPlain:
-		if s.plain == nil {
-			return 0, nil, errNeedPlain
-		}
-		req, err := wire.DecodeApproxPlainReq(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		res, err := s.plain.ApproxKNN(req.Q, int(req.K), int(req.CandSize))
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgResults, wire.ResultsResp{
-			ServerNanos: s.serverNanos(start),
-			DistNanos:   s.distNanos(distBefore),
-			Results:     res,
 		}.Encode(), nil
 
 	case wire.MsgPutNodes:
@@ -750,7 +623,7 @@ func (s *Server) handle(typ wire.MsgType, payload []byte, start time.Time, distB
 		if err != nil {
 			return 0, nil, err
 		}
-		if err := s.plain.InsertBulk(req.Objects); err != nil {
+		if err := s.insertObjects(req.Objects); err != nil {
 			return 0, nil, err
 		}
 		return wire.MsgIngestChunkAck, wire.IngestChunkAckResp{
@@ -787,7 +660,7 @@ func (s *Server) handleFiltered(req wire.FilteredReq, filter mindex.PivotFilter,
 		}
 		results := make([][]mindex.RankedCandidate, len(inner.Queries))
 		for i, q := range inner.Queries {
-			results[i], err = s.evalBatchRanked(q, filter)
+			results[i], err = s.enc.EvalRanked(q, filter)
 			if err != nil {
 				return 0, nil, fmt.Errorf("server: filtered batch query %d: %w", i, err)
 			}
@@ -798,29 +671,39 @@ func (s *Server) handleFiltered(req wire.FilteredReq, filter mindex.PivotFilter,
 		}.AppendTo(buf)
 		return wire.MsgBatchRankedCandidates, buf.B, nil
 
-	case wire.MsgRangeDists:
-		inner, err := wire.DecodeRangeDistsReq(req.Payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		cands, err := s.enc.RangeByDistsFiltered(inner.Dists, inner.Radius, filter)
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.MsgCandidates, candidates(buf, wire.CandidatesResp{
-			ServerNanos: s.serverNanos(start), Entries: cands,
-		}), nil
-
 	case wire.MsgDownloadAll:
 		entries, err := s.enc.AllEntriesFiltered(filter)
 		if err != nil {
 			return 0, nil, err
 		}
-		return wire.MsgCandidates, candidates(buf, wire.CandidatesResp{
+		buf.Reset()
+		wire.CandidatesResp{
 			ServerNanos: s.serverNanos(start), Entries: entries,
-		}), nil
+		}.AppendTo(buf)
+		return wire.MsgCandidates, buf.B, nil
 	}
 	return 0, nil, fmt.Errorf("server: filtered query cannot wrap %v", req.Inner)
+}
+
+// checkDim rejects a plain-deployment vector whose dimension differs from
+// the pivots': the metric panics on a mismatch, so a hostile vector must
+// become an error response before any distance is computed.
+func (s *Server) checkDim(v metric.Vector) error {
+	if want := len(s.plain.Pivots.Pivots[0]); len(v) != want {
+		return fmt.Errorf("server: vector has dimension %d, the index holds dimension %d", len(v), want)
+	}
+	return nil
+}
+
+// insertObjects indexes raw objects (plain deployment), every vector
+// dimension-checked first.
+func (s *Server) insertObjects(objs []metric.Object) error {
+	for _, o := range objs {
+		if err := s.checkDim(o.Vec); err != nil {
+			return err
+		}
+	}
+	return s.plain.InsertBulk(objs)
 }
 
 // applyResyncOp applies one missed write from the coordinator's re-admission
@@ -850,105 +733,6 @@ func (s *Server) applyResyncOp(op wire.ResyncOp) error {
 		return s.walAppend(wal.OpDelete, op.Entries)
 	}
 	return fmt.Errorf("unknown resync op %d", op.Op)
-}
-
-// evalBatchQuery evaluates one query of a batched request against the index
-// engine — the same evaluations the single-query messages perform. Each
-// query fans out across all index shards internally.
-func (s *Server) evalBatchQuery(q wire.BatchQuery) ([]mindex.Entry, error) {
-	switch q.Kind {
-	case wire.BatchRange:
-		return s.enc.RangeByDists(q.Dists, q.Radius)
-	case wire.BatchApproxPerm:
-		if !pivot.ValidPermutation(q.Perm, s.enc.Config().NumPivots) {
-			return nil, fmt.Errorf("request permutation is not a permutation of %d pivots",
-				s.enc.Config().NumPivots)
-		}
-		return s.enc.ApproxCandidates(
-			mindex.ApproxQuery{Ranks: pivot.Ranks(q.Perm)}, int(q.CandSize))
-	case wire.BatchApproxDists:
-		return s.enc.ApproxCandidates(
-			mindex.ApproxQuery{
-				Dists: q.Dists,
-				Ranks: pivot.Ranks(pivot.Permutation(q.Dists)),
-			}, int(q.CandSize))
-	case wire.BatchFirstCell:
-		aq, err := firstCellQuery(q.Perm, q.Dists, s.enc.Config().NumPivots)
-		if err != nil {
-			return nil, err
-		}
-		return s.enc.FirstCellCandidates(aq)
-	}
-	return nil, fmt.Errorf("unknown batch query kind %d", q.Kind)
-}
-
-// firstCellQuery assembles the ApproxQuery of a first-cell request. The
-// footrule form carries the query permutation, the distance-sum form the
-// (transformed) distance vector; a non-empty permutation is validated
-// here, and the index itself validates that whatever arrived matches what
-// its configured ranking strategy needs — so a request missing the needed
-// field becomes an error response, never a panic inside the promise
-// function.
-func firstCellQuery(perm []int32, dists []float64, numPivots int) (mindex.ApproxQuery, error) {
-	aq := mindex.ApproxQuery{Dists: dists}
-	if len(perm) > 0 {
-		if !pivot.ValidPermutation(perm, numPivots) {
-			return aq, fmt.Errorf("server: request permutation is not a permutation of %d pivots", numPivots)
-		}
-		aq.Ranks = pivot.Ranks(perm)
-	}
-	return aq, nil
-}
-
-// evalBatchRanked evaluates one query of a MsgBatchRanked request, keeping
-// the source-cell promise annotations that let the cluster coordinator
-// merge per-node candidate streams exactly like the engine merges shards.
-// Range queries are exact and carry no ranking: their candidates return
-// with promise 0 and a nil prefix (the coordinator concatenates them
-// instead of merging). A non-nil filter restricts the evaluation to the
-// allowed first-level cells (the MsgFilteredQuery envelope); nil evaluates
-// the whole index.
-func (s *Server) evalBatchRanked(q wire.BatchQuery, filter mindex.PivotFilter) ([]mindex.RankedCandidate, error) {
-	switch q.Kind {
-	case wire.BatchRange:
-		entries, err := s.enc.RangeByDistsFiltered(q.Dists, q.Radius, filter)
-		if err != nil {
-			return nil, err
-		}
-		rcs := make([]mindex.RankedCandidate, len(entries))
-		for i, e := range entries {
-			rcs[i] = mindex.RankedCandidate{Entry: e}
-		}
-		return rcs, nil
-	case wire.BatchApproxPerm:
-		if !pivot.ValidPermutation(q.Perm, s.enc.Config().NumPivots) {
-			return nil, fmt.Errorf("request permutation is not a permutation of %d pivots",
-				s.enc.Config().NumPivots)
-		}
-		return s.enc.ApproxCandidatesRankedFiltered(
-			mindex.ApproxQuery{Ranks: pivot.Ranks(q.Perm)}, int(q.CandSize), filter)
-	case wire.BatchApproxDists:
-		return s.enc.ApproxCandidatesRankedFiltered(
-			mindex.ApproxQuery{
-				Dists: q.Dists,
-				Ranks: pivot.Ranks(pivot.Permutation(q.Dists)),
-			}, int(q.CandSize), filter)
-	case wire.BatchFirstCell:
-		aq, err := firstCellQuery(q.Perm, q.Dists, s.enc.Config().NumPivots)
-		if err != nil {
-			return nil, err
-		}
-		entries, promise, prefix, err := s.enc.FirstCellRankedFiltered(aq, filter)
-		if err != nil {
-			return nil, err
-		}
-		rcs := make([]mindex.RankedCandidate, len(entries))
-		for i, e := range entries {
-			rcs[i] = mindex.RankedCandidate{Entry: e, Promise: promise, Prefix: prefix}
-		}
-		return rcs, nil
-	}
-	return nil, fmt.Errorf("unknown batch query kind %d", q.Kind)
 }
 
 // helloResp summarizes this server for the hello handshake: deployment

@@ -59,6 +59,30 @@ func request(t *testing.T, conn net.Conn, typ wire.MsgType, payload []byte) (wir
 	return respType, resp
 }
 
+// batchOf encodes a one-query MsgBatchQuery payload — how every lone
+// encrypted query travels.
+func batchOf(q wire.BatchQuery) []byte {
+	return wire.BatchQueryReq{Queries: []wire.BatchQuery{q}}.Encode()
+}
+
+// queryOne sends one encrypted query as a batch of one and returns its
+// candidate set.
+func queryOne(t *testing.T, conn net.Conn, q wire.BatchQuery) []mindex.Entry {
+	t.Helper()
+	respType, resp := request(t, conn, wire.MsgBatchQuery, batchOf(q))
+	if respType != wire.MsgBatchCandidates {
+		t.Fatalf("query kind %d: got %v", q.Kind, respType)
+	}
+	m, err := wire.DecodeBatchQueryResp(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Results) != 1 {
+		t.Fatalf("batch of one returned %d results", len(m.Results))
+	}
+	return m.Results[0]
+}
+
 func expectError(t *testing.T, conn net.Conn, typ wire.MsgType, payload []byte, contains string) {
 	t.Helper()
 	respType, resp := request(t, conn, typ, payload)
@@ -98,8 +122,8 @@ func TestModeGuards(t *testing.T) {
 	expectError(t, conn, wire.MsgInsertObjects,
 		wire.InsertObjectsReq{Objects: []metric.Object{{ID: 1, Vec: metric.Vector{1}}}}.Encode(),
 		"plain")
-	expectError(t, conn, wire.MsgKNNPlain,
-		wire.KNNPlainReq{Q: metric.Vector{1}, K: 1}.Encode(),
+	expectError(t, conn, wire.MsgPlainQuery,
+		wire.PlainQueryReq{Kind: wire.PlainKNN, Q: metric.Vector{1}, K: 1}.Encode(),
 		"plain")
 
 	// And the reverse on a plain server.
@@ -135,11 +159,11 @@ func TestInvalidPermutationRejected(t *testing.T) {
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
 	// Duplicate elements: not a permutation.
-	expectError(t, conn, wire.MsgApproxPerm,
-		wire.ApproxPermReq{Perm: []int32{0, 0, 1, 2, 3, 4}, CandSize: 5}.Encode(),
+	expectError(t, conn, wire.MsgBatchQuery,
+		batchOf(wire.BatchQuery{Kind: wire.BatchApproxPerm, Perm: []int32{0, 0, 1, 2, 3, 4}, CandSize: 5}),
 		"permutation")
-	expectError(t, conn, wire.MsgFirstCell,
-		wire.FirstCellReq{Perm: []int32{0, 1}}.Encode(),
+	expectError(t, conn, wire.MsgBatchQuery,
+		batchOf(wire.BatchQuery{Kind: wire.BatchFirstCell, Perm: []int32{0, 1}}),
 		"permutation")
 }
 
@@ -184,19 +208,11 @@ func TestDeleteDispatch(t *testing.T) {
 	}
 
 	// The tombstoned entries are gone from query responses.
-	respType, resp = request(t, conn, wire.MsgRangeDists,
-		wire.RangeDistsReq{Dists: make([]float64, 6), Radius: 1e18}.Encode())
-	if respType != wire.MsgCandidates {
-		t.Fatalf("range response = %v", respType)
+	cands := queryOne(t, conn, wire.BatchQuery{Kind: wire.BatchRange, Dists: make([]float64, 6), Radius: 1e18})
+	if len(cands) != 2 {
+		t.Fatalf("range returned %d candidates, want 2", len(cands))
 	}
-	cands, err := wire.DecodeCandidatesResp(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cands.Entries) != 2 {
-		t.Fatalf("range returned %d candidates, want 2", len(cands.Entries))
-	}
-	for _, e := range cands.Entries {
+	for _, e := range cands {
 		if e.ID == 2 || e.ID == 3 {
 			t.Fatalf("deleted entry %d still served", e.ID)
 		}
@@ -340,8 +356,9 @@ func TestAddrBeforeStart(t *testing.T) {
 	}
 }
 
-func insertTestEntries(t *testing.T, conn net.Conn, n int) {
-	t.Helper()
+// testEntries builds n entries over the 6 pivots of testCfg, spread over
+// every first-level cell.
+func testEntries(n int) []mindex.Entry {
 	entries := make([]mindex.Entry, n)
 	for i := range entries {
 		perm := []int32{0, 1, 2, 3, 4, 5}
@@ -352,8 +369,13 @@ func insertTestEntries(t *testing.T, conn net.Conn, n int) {
 		}
 		entries[i] = mindex.Entry{ID: uint64(i + 1), Perm: perm, Dists: dists, Payload: []byte{byte(i)}}
 	}
+	return entries
+}
+
+func insertTestEntries(t *testing.T, conn net.Conn, n int) {
+	t.Helper()
 	respType, _ := request(t, conn, wire.MsgInsertEntries,
-		wire.InsertEntriesReq{Entries: entries}.Encode())
+		wire.InsertEntriesReq{Entries: testEntries(n)}.Encode())
 	if respType != wire.MsgAck {
 		t.Fatalf("insert: got %v", respType)
 	}
@@ -361,7 +383,7 @@ func insertTestEntries(t *testing.T, conn net.Conn, n int) {
 
 // TestBatchQuery: one frame carrying a range, an approx-perm and an
 // approx-dists query must return three candidate sets matching the
-// single-query responses.
+// answers to the same queries sent alone (batches of one).
 func TestBatchQuery(t *testing.T) {
 	srv := startEncrypted(t)
 	conn := dial(t, srv)
@@ -386,35 +408,17 @@ func TestBatchQuery(t *testing.T) {
 		t.Fatalf("batch returned %d results, want 3", len(m.Results))
 	}
 
-	// Each batched result must equal its single-query counterpart.
-	respType, resp = request(t, conn, wire.MsgRangeDists,
-		wire.RangeDistsReq{Dists: qDists, Radius: 5}.Encode())
-	if respType != wire.MsgCandidates {
-		t.Fatalf("range: got %v", respType)
-	}
-	single, err := wire.DecodeCandidatesResp(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Results[0]) != len(single.Entries) {
-		t.Fatalf("batched range returned %d entries, single %d", len(m.Results[0]), len(single.Entries))
-	}
-	respType, resp = request(t, conn, wire.MsgApproxPerm,
-		wire.ApproxPermReq{Perm: perm, CandSize: 15}.Encode())
-	if respType != wire.MsgCandidates {
-		t.Fatalf("approx: got %v", respType)
-	}
-	single, err = wire.DecodeCandidatesResp(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Results[1]) != len(single.Entries) {
-		t.Fatalf("batched approx returned %d entries, single %d", len(m.Results[1]), len(single.Entries))
-	}
-	for i := range single.Entries {
-		if m.Results[1][i].ID != single.Entries[i].ID {
-			t.Fatalf("batched approx candidate %d = id %d, single = id %d",
-				i, m.Results[1][i].ID, single.Entries[i].ID)
+	// Each batched result must equal the answer to its query sent alone.
+	for qi, q := range batch.Queries {
+		single := queryOne(t, conn, q)
+		if len(m.Results[qi]) != len(single) {
+			t.Fatalf("batched query %d returned %d entries, alone %d", qi, len(m.Results[qi]), len(single))
+		}
+		for i := range single {
+			if m.Results[qi][i].ID != single[i].ID {
+				t.Fatalf("batched query %d candidate %d = id %d, alone = id %d",
+					qi, i, m.Results[qi][i].ID, single[i].ID)
+			}
 		}
 	}
 }
@@ -453,17 +457,9 @@ func TestShardedServer(t *testing.T) {
 	if got := srv.Index().Size(); got != 80 {
 		t.Fatalf("Size = %d", got)
 	}
-	respType, resp := request(t, conn, wire.MsgApproxPerm,
-		wire.ApproxPermReq{Perm: []int32{1, 0, 2, 3, 4, 5}, CandSize: 20}.Encode())
-	if respType != wire.MsgCandidates {
-		t.Fatalf("approx on sharded server: got %v", respType)
-	}
-	m, err := wire.DecodeCandidatesResp(resp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Entries) != 20 {
-		t.Fatalf("sharded approx returned %d candidates, want 20", len(m.Entries))
+	cands := queryOne(t, conn, wire.BatchQuery{Kind: wire.BatchApproxPerm, Perm: []int32{1, 0, 2, 3, 4, 5}, CandSize: 20})
+	if len(cands) != 20 {
+		t.Fatalf("sharded approx returned %d candidates, want 20", len(cands))
 	}
 }
 

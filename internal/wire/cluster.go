@@ -31,10 +31,13 @@ const (
 // Proto is the version of the wire protocol this build speaks, reported in
 // every hello. Version 1 answers reads with candidate records (ID and
 // ciphertext only); a server built before the version field existed
-// answers with full entry records and reports 0. Clients and coordinators
-// refuse a peer whose version differs from their own, since a record
-// decoded under the other layout is garbage.
-const Proto = 1
+// answers with full entry records and reports 0. Version 2 sends one query
+// request per deployment — MsgBatchQuery (encrypted) and MsgPlainQuery
+// (plain) — and reserves the codes of the per-kind query frames it
+// retired. Clients and coordinators refuse a peer whose version differs
+// from their own, since a record decoded under the other layout is garbage
+// and the other version's query frames are unknown.
+const Proto = 2
 
 // HelloResp identifies a server: its deployment mode and the index shape a
 // client (or coordinator) must match to talk to it meaningfully. A

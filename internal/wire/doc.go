@@ -40,11 +40,26 @@
 // codec (mindex.AppendEntry / DecodeEntry), so nothing an index stores
 // ever pins a frame.
 //
+// # One query request per deployment
+//
+// Every encrypted query, alone or batched, travels as MsgBatchQuery (a
+// BatchQueryReq; a lone query is a batch of one) and is answered with
+// MsgBatchCandidates; every plain query travels as MsgPlainQuery (a
+// kind-tagged PlainQueryReq) and is answered with MsgResults. The request
+// shape of a query kind is chosen in exactly one wire type per deployment.
+//
 // # Protocol version
 //
 // HelloResp.Proto carries the wire protocol version (Proto). Clients and
 // coordinators refuse a server of another version at the handshake rather
-// than misread its records.
+// than misread its records. The history:
+//
+//   - 0: hellos without the field (full entry records in every answer).
+//   - 1: candidate records — ID and ciphertext only — in every answer.
+//   - 2: one query request per deployment. The eight per-kind query
+//     frames of version 1 (codes 4–10 and 32) are retired; their codes
+//     stay reserved so every live message keeps its number, and a server
+//     answers them with MsgError. MsgPlainQuery is appended as code 39.
 //
 // # Context-derived deadlines
 //

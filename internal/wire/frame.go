@@ -24,25 +24,19 @@ const (
 	// computes pivot distances itself).
 	MsgInsertObjects
 
-	// MsgRangeDists asks for range-query candidates given only the query's
-	// pivot-distance vector (encrypted precise range, Algorithm 3).
-	MsgRangeDists
-	// MsgApproxPerm asks for a pre-ranked candidate set given only the
-	// query's pivot permutation (encrypted approximate k-NN, Algorithm 4).
-	MsgApproxPerm
-	// MsgApproxDists is MsgApproxPerm with a distance vector instead of a
-	// permutation (the distance-sum ranking strategy).
-	MsgApproxDists
-	// MsgFirstCell asks for the single most promising Voronoi cell — the
-	// restricted candidate strategy of the paper's 1-NN comparison.
-	MsgFirstCell
-
-	// MsgRangePlain evaluates a full range query server-side (plain).
-	MsgRangePlain
-	// MsgKNNPlain evaluates a precise k-NN query server-side (plain).
-	MsgKNNPlain
-	// MsgApproxPlain evaluates an approximate k-NN server-side (plain).
-	MsgApproxPlain
+	// Codes 4–10 carried the per-kind single-query requests of protocol
+	// version 1 (range-dists, approx-perm, approx-dists, first-cell,
+	// range-plain, knn-plain, approx-plain). Version 2 sends every
+	// encrypted query as MsgBatchQuery and every plain one as
+	// MsgPlainQuery; the codes stay reserved so every live message keeps
+	// its number and a retired one is answered with MsgError.
+	_
+	_
+	_
+	_
+	_
+	_
+	_
 
 	// MsgCandidates returns a candidate set of entries plus server time.
 	MsgCandidates
@@ -114,13 +108,11 @@ const (
 	// server owns the pivots, so no routing metadata is needed); answered
 	// with MsgDeleteAck, batchable like MsgDeleteEntries.
 	MsgDeleteObjects
-	// MsgFirstCellPlain evaluates the restricted 1-cell approximate k-NN
-	// fully server-side (plain deployment), the non-encrypted counterpart
-	// of MsgFirstCell; answered with MsgResults.
-	MsgFirstCellPlain
+	// Code 32 carried first-cell-plain in protocol version 1 (reserved).
+	_
 
-	// MsgFilteredQuery wraps an inner read request (MsgBatchRanked,
-	// MsgRangeDists or MsgDownloadAll) with a first-level pivot restriction:
+	// MsgFilteredQuery wraps an inner read request (MsgBatchRanked or
+	// MsgDownloadAll) with a first-level pivot restriction:
 	// the server evaluates the inner request as if its index held only the
 	// entries whose Perm[0] is in the allowed set, and answers with the
 	// inner request's natural response type. A replicated coordinator uses
@@ -151,13 +143,16 @@ const (
 	// (a no-op without one) and answers MsgAck, so the final ack promises
 	// every streamed chunk is applied and durable.
 	MsgIngestEnd
+
+	// MsgPlainQuery evaluates one query of any kind fully server-side
+	// (plain deployment): the request is a kind-tagged PlainQueryReq
+	// carrying the raw query vector, the answer MsgResults.
+	MsgPlainQuery
 )
 
 var msgNames = map[MsgType]string{
 	MsgError: "error", MsgInsertEntries: "insert-entries", MsgInsertObjects: "insert-objects",
-	MsgRangeDists: "range-dists", MsgApproxPerm: "approx-perm", MsgApproxDists: "approx-dists",
-	MsgFirstCell: "first-cell", MsgRangePlain: "range-plain", MsgKNNPlain: "knn-plain",
-	MsgApproxPlain: "approx-plain", MsgCandidates: "candidates", MsgResults: "results",
+	MsgCandidates: "candidates", MsgResults: "results",
 	MsgAck: "ack", MsgGetNode: "get-node", MsgNodeBlob: "node-blob", MsgPutNodes: "put-nodes",
 	MsgFDHQuery: "fdh-query", MsgPutFDH: "put-fdh", MsgDownloadAll: "download-all",
 	MsgPutRaw: "put-raw", MsgGetRaw: "get-raw", MsgRawItems: "raw-items",
@@ -165,10 +160,10 @@ var msgNames = map[MsgType]string{
 	MsgDeleteEntries: "delete-entries", MsgDeleteAck: "delete-ack",
 	MsgHello: "hello", MsgHelloAck: "hello-ack",
 	MsgBatchRanked: "batch-ranked", MsgBatchRankedCandidates: "batch-ranked-candidates",
-	MsgDeleteObjects: "delete-objects", MsgFirstCellPlain: "first-cell-plain",
-	MsgFilteredQuery: "filtered-query", MsgResyncOps: "resync-ops",
+	MsgDeleteObjects: "delete-objects", MsgFilteredQuery: "filtered-query", MsgResyncOps: "resync-ops",
 	MsgIngestChunk: "ingest-chunk", MsgIngestObjChunk: "ingest-obj-chunk",
 	MsgIngestChunkAck: "ingest-chunk-ack", MsgIngestEnd: "ingest-end",
+	MsgPlainQuery: "plain-query",
 }
 
 // String implements fmt.Stringer.

@@ -57,8 +57,13 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 func FuzzDecodeRequests(f *testing.F) {
-	f.Add(RangeDistsReq{Dists: []float64{1, 2}, Radius: 3}.Encode())
-	f.Add(ApproxPermReq{Perm: []int32{1, 0}, CandSize: 5}.Encode())
+	f.Add(BatchQueryReq{Queries: []BatchQuery{{Kind: BatchRange, Dists: []float64{1, 2}, Radius: 3}}}.Encode())
+	f.Add(BatchQueryReq{Queries: []BatchQuery{{Kind: BatchApproxPerm, Perm: []int32{1, 0}, CandSize: 5}}}.Encode())
+	f.Add(BatchQueryReq{Queries: []BatchQuery{{Kind: BatchApproxDists, Dists: []float64{0.5}, CandSize: 7}}}.Encode())
+	f.Add(BatchQueryReq{Queries: []BatchQuery{{Kind: BatchFirstCell, Dists: []float64{1, 2}}}}.Encode())
+	f.Add(PlainQueryReq{Kind: PlainRange, Q: metric.Vector{7, 8}, Radius: 1}.Encode())
+	f.Add(PlainQueryReq{Kind: PlainKNN, Q: metric.Vector{1}, K: 30}.Encode())
+	f.Add(PlainQueryReq{Kind: PlainApprox, Q: metric.Vector{1, 2, 3}, K: 30, CandSize: 1500}.Encode())
 	f.Add(InsertEntriesReq{Entries: []mindex.Entry{{ID: 1, Perm: []int32{0}}}}.Encode())
 	f.Add(PutNodesReq{RootID: 1, Nodes: []EHINode{{ID: 1, Blob: []byte{2}}}}.Encode())
 	f.Add(PutFDHReq{Items: []FDHItem{{Key: 3, Payload: []byte{4}}}}.Encode())
@@ -79,7 +84,7 @@ func FuzzDecodeRequests(f *testing.F) {
 		{Entry: mindex.Entry{ID: 3, Perm: []int32{1, 0}}, Promise: 0.5, Prefix: []int32{1}},
 	}}}.Encode())
 	f.Add(DeleteObjectsReq{IDs: []uint64{1, 2, 3}}.Encode())
-	f.Add(FirstCellPlainReq{Q: metric.Vector{1, 2}, K: 4}.Encode())
+	f.Add(PlainQueryReq{Kind: PlainFirstCell, Q: metric.Vector{1, 2}, K: 4}.Encode())
 	f.Add(FilteredReq{Allow: []int32{0, 3, 5}, Inner: MsgBatchRanked,
 		Payload: BatchQueryReq{Queries: []BatchQuery{{Kind: BatchRange, Dists: []float64{1}, Radius: 2}}}.Encode()}.Encode())
 	f.Add(ResyncReq{Ops: []ResyncOp{
@@ -95,13 +100,7 @@ func FuzzDecodeRequests(f *testing.F) {
 		// None of these may panic; errors are fine.
 		_, _ = DecodeInsertEntriesReq(data)
 		_, _ = DecodeInsertObjectsReq(data)
-		_, _ = DecodeRangeDistsReq(data)
-		_, _ = DecodeApproxPermReq(data)
-		_, _ = DecodeApproxDistsReq(data)
-		_, _ = DecodeFirstCellReq(data)
-		_, _ = DecodeRangePlainReq(data)
-		_, _ = DecodeKNNPlainReq(data)
-		_, _ = DecodeApproxPlainReq(data)
+		_, _ = DecodePlainQueryReq(data)
 		_, _ = DecodeCandidatesResp(data)
 		_, _ = DecodeResultsResp(data)
 		_, _ = DecodeAckResp(data)
@@ -118,7 +117,6 @@ func FuzzDecodeRequests(f *testing.F) {
 		_, _ = DecodeHelloResp(data)
 		_, _ = DecodeBatchRankedResp(data)
 		_, _ = DecodeDeleteObjectsReq(data)
-		_, _ = DecodeFirstCellPlainReq(data)
 		_, _ = DecodeFilteredReq(data)
 		_, _ = DecodeResyncReq(data)
 		_, _ = DecodeIngestChunkReq(data)

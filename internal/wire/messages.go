@@ -188,160 +188,66 @@ func DecodeDeleteAckResp(p []byte) (DeleteAckResp, error) {
 	return m, r.Err()
 }
 
-// RangeDistsReq is the encrypted precise range query: pivot distances and
-// radius only — the query object never leaves the client.
-type RangeDistsReq struct {
-	Dists  []float64
-	Radius float64
+// Plain query kinds carried by a PlainQueryReq.
+const (
+	// PlainRange is a precise range query (query vector + radius).
+	PlainRange uint8 = iota + 1
+	// PlainKNN is a precise k-NN query (query vector + k).
+	PlainKNN
+	// PlainApprox is an approximate k-NN query (query vector, k and
+	// candidate size).
+	PlainApprox
+	// PlainFirstCell is the restricted 1-cell approximate k-NN of the
+	// paper's Section 5.4 comparison: the server refines only its single
+	// most promising Voronoi cell and returns the k best answers.
+	PlainFirstCell
+)
+
+// PlainQueryReq is one query of the plain deployment (MsgPlainQuery): a
+// tagged union over the four query kinds, each carrying the raw query
+// vector — the defining disclosure of the non-encrypted baseline. The
+// server evaluates it completely and answers with a ResultsResp.
+type PlainQueryReq struct {
+	Kind     uint8
+	Q        metric.Vector
+	K        uint32  // PlainKNN, PlainApprox, PlainFirstCell
+	Radius   float64 // PlainRange
+	CandSize uint32  // PlainApprox
 }
 
 // Encode serializes the request payload.
-func (m RangeDistsReq) Encode() []byte {
+func (m PlainQueryReq) Encode() []byte {
 	var b Buffer
-	b.F64Slice(m.Dists)
-	b.F64(m.Radius)
-	return b.B
-}
-
-// DecodeRangeDistsReq parses a RangeDistsReq payload.
-func DecodeRangeDistsReq(p []byte) (RangeDistsReq, error) {
-	r := NewReader(p)
-	m := RangeDistsReq{Dists: r.F64Slice(), Radius: r.F64()}
-	return m, r.Err()
-}
-
-// ApproxPermReq is the encrypted approximate k-NN query under the footrule
-// ranking: the query's pivot permutation and the requested candidate size.
-type ApproxPermReq struct {
-	Perm     []int32
-	CandSize uint32
-}
-
-// Encode serializes the request payload.
-func (m ApproxPermReq) Encode() []byte {
-	var b Buffer
-	b.I32Slice(m.Perm)
-	b.U32(m.CandSize)
-	return b.B
-}
-
-// DecodeApproxPermReq parses an ApproxPermReq payload.
-func DecodeApproxPermReq(p []byte) (ApproxPermReq, error) {
-	r := NewReader(p)
-	m := ApproxPermReq{Perm: r.I32Slice(), CandSize: r.U32()}
-	return m, r.Err()
-}
-
-// ApproxDistsReq is the encrypted approximate k-NN query under the
-// distance-sum ranking: the query's pivot distances and candidate size.
-type ApproxDistsReq struct {
-	Dists    []float64
-	CandSize uint32
-}
-
-// Encode serializes the request payload.
-func (m ApproxDistsReq) Encode() []byte {
-	var b Buffer
-	b.F64Slice(m.Dists)
-	b.U32(m.CandSize)
-	return b.B
-}
-
-// DecodeApproxDistsReq parses an ApproxDistsReq payload.
-func DecodeApproxDistsReq(p []byte) (ApproxDistsReq, error) {
-	r := NewReader(p)
-	m := ApproxDistsReq{Dists: r.F64Slice(), CandSize: r.U32()}
-	return m, r.Err()
-}
-
-// FirstCellReq asks for the single most promising Voronoi cell.
-type FirstCellReq struct {
-	// Perm carries the query permutation (footrule ranking); Dists carries
-	// the (transformed) query distance vector (distance-sum ranking) —
-	// exactly the per-strategy disclosure split of the approximate k-NN
-	// request pair. Exactly one of the two is non-empty.
-	Perm  []int32
-	Dists []float64
-}
-
-// Encode serializes the request payload.
-func (m FirstCellReq) Encode() []byte {
-	var b Buffer
-	b.I32Slice(m.Perm)
-	b.F64Slice(m.Dists)
-	return b.B
-}
-
-// DecodeFirstCellReq parses a FirstCellReq payload.
-func DecodeFirstCellReq(p []byte) (FirstCellReq, error) {
-	r := NewReader(p)
-	m := FirstCellReq{Perm: r.I32Slice(), Dists: r.F64Slice()}
-	return m, r.Err()
-}
-
-// RangePlainReq is the plain precise range query carrying the raw query.
-type RangePlainReq struct {
-	Q      metric.Vector
-	Radius float64
-}
-
-// Encode serializes the request payload.
-func (m RangePlainReq) Encode() []byte {
-	var b Buffer
+	b.U8(m.Kind)
 	b.Vec(m.Q)
-	b.F64(m.Radius)
+	switch m.Kind {
+	case PlainRange:
+		b.F64(m.Radius)
+	case PlainApprox:
+		b.U32(m.K)
+		b.U32(m.CandSize)
+	default: // PlainKNN, PlainFirstCell
+		b.U32(m.K)
+	}
 	return b.B
 }
 
-// DecodeRangePlainReq parses a RangePlainReq payload.
-func DecodeRangePlainReq(p []byte) (RangePlainReq, error) {
+// DecodePlainQueryReq parses a PlainQueryReq payload; an unknown kind is a
+// codec error.
+func DecodePlainQueryReq(p []byte) (PlainQueryReq, error) {
 	r := NewReader(p)
-	m := RangePlainReq{Q: r.VecField(), Radius: r.F64()}
-	return m, r.Err()
-}
-
-// KNNPlainReq is the plain precise k-NN query.
-type KNNPlainReq struct {
-	Q metric.Vector
-	K uint32
-}
-
-// Encode serializes the request payload.
-func (m KNNPlainReq) Encode() []byte {
-	var b Buffer
-	b.Vec(m.Q)
-	b.U32(m.K)
-	return b.B
-}
-
-// DecodeKNNPlainReq parses a KNNPlainReq payload.
-func DecodeKNNPlainReq(p []byte) (KNNPlainReq, error) {
-	r := NewReader(p)
-	m := KNNPlainReq{Q: r.VecField(), K: r.U32()}
-	return m, r.Err()
-}
-
-// FirstCellPlainReq is the restricted 1-cell approximate k-NN of the
-// paper's Section 5.4 comparison, evaluated fully server-side (plain
-// deployment): the server ranks its Voronoi cells against the raw query,
-// refines the single most promising cell and returns the k best answers.
-type FirstCellPlainReq struct {
-	Q metric.Vector
-	K uint32
-}
-
-// Encode serializes the request payload.
-func (m FirstCellPlainReq) Encode() []byte {
-	var b Buffer
-	b.Vec(m.Q)
-	b.U32(m.K)
-	return b.B
-}
-
-// DecodeFirstCellPlainReq parses a FirstCellPlainReq payload.
-func DecodeFirstCellPlainReq(p []byte) (FirstCellPlainReq, error) {
-	r := NewReader(p)
-	m := FirstCellPlainReq{Q: r.VecField(), K: r.U32()}
+	m := PlainQueryReq{Kind: r.U8(), Q: r.VecField()}
+	switch m.Kind {
+	case PlainRange:
+		m.Radius = r.F64()
+	case PlainApprox:
+		m.K = r.U32()
+		m.CandSize = r.U32()
+	case PlainKNN, PlainFirstCell:
+		m.K = r.U32()
+	default:
+		return PlainQueryReq{}, ErrCodec
+	}
 	return m, r.Err()
 }
 
@@ -379,29 +285,6 @@ func DecodeDeleteObjectsReq(p []byte) (DeleteObjectsReq, error) {
 		}
 		m.IDs = append(m.IDs, id)
 	}
-	return m, r.Err()
-}
-
-// ApproxPlainReq is the plain approximate k-NN query.
-type ApproxPlainReq struct {
-	Q        metric.Vector
-	K        uint32
-	CandSize uint32
-}
-
-// Encode serializes the request payload.
-func (m ApproxPlainReq) Encode() []byte {
-	var b Buffer
-	b.Vec(m.Q)
-	b.U32(m.K)
-	b.U32(m.CandSize)
-	return b.B
-}
-
-// DecodeApproxPlainReq parses an ApproxPlainReq payload.
-func DecodeApproxPlainReq(p []byte) (ApproxPlainReq, error) {
-	r := NewReader(p)
-	m := ApproxPlainReq{Q: r.VecField(), K: r.U32(), CandSize: r.U32()}
 	return m, r.Err()
 }
 
@@ -767,9 +650,9 @@ func DecodeRawItemsResp(p []byte) (RawItemsResp, error) {
 	return m, r.Err()
 }
 
-// Batch query kinds carried by a BatchQueryReq. Each kind mirrors one of
-// the single-query encrypted requests and reveals exactly the same
-// information per query.
+// Query kinds carried by a BatchQueryReq. Each reveals only what the
+// paper's encrypted query reveals: a pivot permutation or a (transformed)
+// pivot distance vector, never the query object.
 const (
 	// BatchRange is a precise range query (pivot distances + radius).
 	BatchRange uint8 = iota + 1
@@ -779,13 +662,14 @@ const (
 	// BatchApproxDists is an approximate k-NN candidate request under the
 	// distance-sum ranking (pivot distances + candidate size).
 	BatchApproxDists
-	// BatchFirstCell asks for the single most promising Voronoi cell
-	// (pivot permutation only), the batched form of MsgFirstCell.
+	// BatchFirstCell asks for the single most promising Voronoi cell — the
+	// restricted candidate strategy of the paper's 1-NN comparison — by
+	// pivot permutation (footrule) or distance vector (distance-sum).
 	BatchFirstCell
 )
 
-// BatchQuery is one query of a batched request: a tagged union over the
-// three encrypted query shapes.
+// BatchQuery is one encrypted query: a tagged union over the four query
+// shapes.
 type BatchQuery struct {
 	Kind     uint8
 	Perm     []int32   // BatchApproxPerm, BatchFirstCell (footrule)
@@ -794,10 +678,11 @@ type BatchQuery struct {
 	CandSize uint32    // BatchApproxPerm, BatchApproxDists
 }
 
-// BatchQueryReq carries k encrypted queries in one frame, amortizing one
-// round trip (and one frame header) over the whole batch. The server
-// answers with a BatchQueryResp holding one candidate set per query, in
-// request order.
+// BatchQueryReq carries k >= 1 encrypted queries in one frame — the only
+// encrypted query request (MsgBatchQuery): a lone query travels as a batch
+// of one, and a batch amortizes one round trip (and one frame header) over
+// all its queries. The server answers with a BatchQueryResp holding one
+// candidate set per query, in request order.
 type BatchQueryReq struct {
 	Queries []BatchQuery
 }

@@ -15,7 +15,7 @@ type FilteredReq struct {
 	// Allow lists the permitted first-level pivots (each in
 	// [0, NumPivots)).
 	Allow []int32
-	// Inner is the wrapped request type: MsgBatchRanked, MsgRangeDists or
+	// Inner is the wrapped request type: MsgBatchRanked or
 	// MsgDownloadAll.
 	Inner MsgType
 	// Payload is the wrapped request's encoded payload.

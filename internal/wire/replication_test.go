@@ -10,8 +10,10 @@ import (
 func TestFilteredReqRoundTrip(t *testing.T) {
 	cases := []FilteredReq{
 		{Inner: MsgDownloadAll},
-		{Allow: []int32{0}, Inner: MsgRangeDists,
-			Payload: RangeDistsReq{Dists: []float64{1, 2}, Radius: 3}.Encode()},
+		{Allow: []int32{0}, Inner: MsgBatchRanked,
+			Payload: BatchQueryReq{Queries: []BatchQuery{
+				{Kind: BatchRange, Dists: []float64{1, 2}, Radius: 3},
+			}}.Encode()},
 		{Allow: []int32{7, 0, 3, 5}, Inner: MsgBatchRanked,
 			Payload: BatchQueryReq{Queries: []BatchQuery{
 				{Kind: BatchApproxPerm, Perm: []int32{3, 0}, CandSize: 10},

@@ -187,55 +187,6 @@ func TestMessageRoundTrips(t *testing.T) {
 			t.Fatalf("round trip: %+v, %v", out, err)
 		}
 	})
-	t.Run("range-dists", func(t *testing.T) {
-		in := RangeDistsReq{Dists: []float64{1, 2, 3}, Radius: 4.5}
-		out, err := DecodeRangeDistsReq(in.Encode())
-		if err != nil || out.Radius != 4.5 || len(out.Dists) != 3 {
-			t.Fatalf("round trip: %+v, %v", out, err)
-		}
-	})
-	t.Run("approx-perm", func(t *testing.T) {
-		in := ApproxPermReq{Perm: []int32{3, 1, 0, 2}, CandSize: 600}
-		out, err := DecodeApproxPermReq(in.Encode())
-		if err != nil || out.CandSize != 600 || !reflect.DeepEqual(out.Perm, in.Perm) {
-			t.Fatalf("round trip: %+v, %v", out, err)
-		}
-	})
-	t.Run("approx-dists", func(t *testing.T) {
-		in := ApproxDistsReq{Dists: []float64{0.5}, CandSize: 10}
-		out, err := DecodeApproxDistsReq(in.Encode())
-		if err != nil || out.CandSize != 10 || out.Dists[0] != 0.5 {
-			t.Fatalf("round trip: %+v, %v", out, err)
-		}
-	})
-	t.Run("first-cell", func(t *testing.T) {
-		in := FirstCellReq{Perm: []int32{1, 0}}
-		out, err := DecodeFirstCellReq(in.Encode())
-		if err != nil || !reflect.DeepEqual(out.Perm, in.Perm) {
-			t.Fatalf("round trip: %+v, %v", out, err)
-		}
-	})
-	t.Run("range-plain", func(t *testing.T) {
-		in := RangePlainReq{Q: metric.Vector{7, 8}, Radius: 1}
-		out, err := DecodeRangePlainReq(in.Encode())
-		if err != nil || !out.Q.Equal(in.Q) || out.Radius != 1 {
-			t.Fatalf("round trip: %+v, %v", out, err)
-		}
-	})
-	t.Run("knn-plain", func(t *testing.T) {
-		in := KNNPlainReq{Q: metric.Vector{1}, K: 30}
-		out, err := DecodeKNNPlainReq(in.Encode())
-		if err != nil || out.K != 30 || !out.Q.Equal(in.Q) {
-			t.Fatalf("round trip: %+v, %v", out, err)
-		}
-	})
-	t.Run("approx-plain", func(t *testing.T) {
-		in := ApproxPlainReq{Q: metric.Vector{1, 2, 3}, K: 30, CandSize: 1500}
-		out, err := DecodeApproxPlainReq(in.Encode())
-		if err != nil || out.K != 30 || out.CandSize != 1500 {
-			t.Fatalf("round trip: %+v, %v", out, err)
-		}
-	})
 	t.Run("candidates", func(t *testing.T) {
 		in := CandidatesResp{ServerNanos: 12345, Entries: sampleEntries()}
 		out, err := DecodeCandidatesResp(in.Encode())
@@ -255,6 +206,52 @@ func TestMessageRoundTrips(t *testing.T) {
 		}
 		if !reflect.DeepEqual(out, in) {
 			t.Fatalf("round trip: %+v", out)
+		}
+	})
+	// Every encrypted query travels as a BatchQueryReq, alone or batched,
+	// and every plain one as a PlainQueryReq: each query shape (named as
+	// its protocol-version-1 frame was) must survive a request of one.
+	for _, tc := range []struct {
+		name string
+		q    BatchQuery
+	}{
+		{"range-dists", BatchQuery{Kind: BatchRange, Dists: []float64{1, 2, 3}, Radius: 4.5}},
+		{"approx-perm", BatchQuery{Kind: BatchApproxPerm, Perm: []int32{3, 1, 0, 2}, CandSize: 600}},
+		{"approx-dists", BatchQuery{Kind: BatchApproxDists, Dists: []float64{0.5}, CandSize: 10}},
+		{"first-cell", BatchQuery{Kind: BatchFirstCell, Perm: []int32{1, 0}}},
+		{"first-cell-dists", BatchQuery{Kind: BatchFirstCell, Dists: []float64{0.25, 0.75}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			in := BatchQueryReq{Queries: []BatchQuery{tc.q}}
+			out, err := DecodeBatchQueryReq(in.Encode())
+			if err != nil || !reflect.DeepEqual(out, in) {
+				t.Fatalf("round trip: got %+v, %v; want %+v", out, err, in)
+			}
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		in   PlainQueryReq
+	}{
+		{"range-plain", PlainQueryReq{Kind: PlainRange, Q: metric.Vector{7, 8}, Radius: 1}},
+		{"knn-plain", PlainQueryReq{Kind: PlainKNN, Q: metric.Vector{1}, K: 30}},
+		{"approx-plain", PlainQueryReq{Kind: PlainApprox, Q: metric.Vector{1, 2, 3}, K: 30, CandSize: 1500}},
+		{"first-cell-plain", PlainQueryReq{Kind: PlainFirstCell, Q: metric.Vector{1, 2}, K: 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			out, err := DecodePlainQueryReq(tc.in.Encode())
+			if err != nil || !reflect.DeepEqual(out, tc.in) {
+				t.Fatalf("round trip: got %+v, %v; want %+v", out, err, tc.in)
+			}
+		})
+	}
+	t.Run("plain-query-unknown-kind", func(t *testing.T) {
+		var b Buffer
+		b.U8(99)
+		b.Vec(metric.Vector{1})
+		b.U32(1)
+		if _, err := DecodePlainQueryReq(b.B); err == nil {
+			t.Fatal("unknown plain query kind accepted")
 		}
 	})
 	t.Run("batch-query-unknown-kind", func(t *testing.T) {
@@ -351,8 +348,8 @@ func TestQuickDecodersRobust(t *testing.T) {
 		_, _ = DecodeInsertEntriesReq(p)
 		_, _ = DecodeDeleteEntriesReq(p)
 		_, _ = DecodeDeleteAckResp(p)
-		_, _ = DecodeRangeDistsReq(p)
-		_, _ = DecodeApproxPermReq(p)
+		_, _ = DecodeBatchQueryReq(p)
+		_, _ = DecodePlainQueryReq(p)
 		_, _ = DecodeCandidatesResp(p)
 		_, _ = DecodeResultsResp(p)
 		_, _ = DecodePutNodesReq(p)
@@ -363,8 +360,12 @@ func TestQuickDecodersRobust(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-	valid := RangeDistsReq{Dists: []float64{1}, Radius: 2}.Encode()
-	if _, err := DecodeRangeDistsReq(append(valid, 0xFF)); err == nil {
+	valid := BatchQueryReq{Queries: []BatchQuery{{Kind: BatchRange, Dists: []float64{1}, Radius: 2}}}.Encode()
+	if _, err := DecodeBatchQueryReq(append(valid, 0xFF)); err == nil {
+		t.Fatal("trailing garbage accepted")
+	}
+	plain := PlainQueryReq{Kind: PlainKNN, Q: metric.Vector{1}, K: 3}.Encode()
+	if _, err := DecodePlainQueryReq(append(plain, 0xFF)); err == nil {
 		t.Fatal("trailing garbage accepted")
 	}
 }
@@ -404,5 +405,64 @@ func TestCountingConn(t *testing.T) {
 	cc.ResetCounters()
 	if cc.BytesRead() != 0 || cc.BytesWritten() != 0 {
 		t.Fatal("reset failed")
+	}
+}
+
+// TestMsgTypeCodes pins the number of every live message type. Protocol
+// version 2 retired the per-kind query frames but kept their codes
+// reserved, so every message that survived kept its number; a renumbering
+// would make this build misread a peer's frames, and a new type must be
+// appended here (and at the end of the MsgType block).
+func TestMsgTypeCodes(t *testing.T) {
+	golden := []struct {
+		t    MsgType
+		code uint8
+		name string
+	}{
+		{MsgError, 1, "error"},
+		{MsgInsertEntries, 2, "insert-entries"},
+		{MsgInsertObjects, 3, "insert-objects"},
+		{MsgCandidates, 11, "candidates"},
+		{MsgResults, 12, "results"},
+		{MsgAck, 13, "ack"},
+		{MsgGetNode, 14, "get-node"},
+		{MsgNodeBlob, 15, "node-blob"},
+		{MsgPutNodes, 16, "put-nodes"},
+		{MsgFDHQuery, 17, "fdh-query"},
+		{MsgPutFDH, 18, "put-fdh"},
+		{MsgDownloadAll, 19, "download-all"},
+		{MsgPutRaw, 20, "put-raw"},
+		{MsgGetRaw, 21, "get-raw"},
+		{MsgRawItems, 22, "raw-items"},
+		{MsgBatchQuery, 23, "batch-query"},
+		{MsgBatchCandidates, 24, "batch-candidates"},
+		{MsgDeleteEntries, 25, "delete-entries"},
+		{MsgDeleteAck, 26, "delete-ack"},
+		{MsgHello, 27, "hello"},
+		{MsgHelloAck, 28, "hello-ack"},
+		{MsgBatchRanked, 29, "batch-ranked"},
+		{MsgBatchRankedCandidates, 30, "batch-ranked-candidates"},
+		{MsgDeleteObjects, 31, "delete-objects"},
+		{MsgFilteredQuery, 33, "filtered-query"},
+		{MsgResyncOps, 34, "resync-ops"},
+		{MsgIngestChunk, 35, "ingest-chunk"},
+		{MsgIngestObjChunk, 36, "ingest-obj-chunk"},
+		{MsgIngestChunkAck, 37, "ingest-chunk-ack"},
+		{MsgIngestEnd, 38, "ingest-end"},
+		{MsgPlainQuery, 39, "plain-query"},
+	}
+	for _, g := range golden {
+		if uint8(g.t) != g.code || g.t.String() != g.name {
+			t.Errorf("%v: code %d, want %s = %d", g.t, uint8(g.t), g.name, g.code)
+		}
+	}
+	if len(msgNames) != len(golden) {
+		t.Errorf("%d named message types, %d pinned: pin every live type", len(msgNames), len(golden))
+	}
+	// The retired per-kind query codes stay unnamed.
+	for _, code := range []uint8{4, 5, 6, 7, 8, 9, 10, 32} {
+		if name, ok := msgNames[MsgType(code)]; ok {
+			t.Errorf("reserved code %d is live as %q", code, name)
+		}
 	}
 }
